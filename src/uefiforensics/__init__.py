@@ -64,7 +64,6 @@ from .report import (  # noqa: F401
     AnalysisOptions,
     AnalysisReport,
     analyze_dump,
-    analyze_path,
     render_text,
     to_json_dict,
 )

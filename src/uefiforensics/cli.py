@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -20,6 +21,7 @@ from .carver import carve_images
 from .dump_model import DumpLoadError, load_dump
 from .forge import ForgeError, build_scenario, builtin_scenarios, scenario_by_name
 from .image_registry import scan_loaded_images
+from .inline_hooks import DEFAULT_MAX_DEPTH, DEFAULT_PROLOGUE_WINDOW
 from .report import (
     EXIT_CLEAN,
     EXIT_ERROR,
@@ -43,18 +45,36 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR; argparse's own 2 means findings here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+# Flag destinations are AnalysisOptions field names, so _load can pass them on.
 def _add_dump_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("dump", help="raw memory dump file")
-    parser.add_argument("--map", help="region-map sidecar (default: <dump>.map.json if present)")
+    parser.add_argument("--map", dest="map_path", metavar="MAP",
+                        help="region-map sidecar (default: <dump>.map.json if present)")
     parser.add_argument(
         "--scan-unaligned",
+        dest="unaligned_scan",
         action="store_true",
         help="signature-scan every byte offset instead of natural alignment",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uefiforensics",
         description="Hook detection and image carving for raw UEFI pre-boot memory dumps",
     )
@@ -65,11 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dump_args(p)
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p.add_argument("--baseline-guid", help="override baseline inference with this image GUID")
-    p.add_argument("--prologue-window", type=int, default=32,
-                   help="prologue sweep length in bytes (default 32)")
-    p.add_argument("--max-depth", type=int, default=3,
-                   help="nested transfer levels to follow (default 3)")
-    p.add_argument("--carve-out", metavar="DIR", help="also carve images into DIR")
+    p.add_argument("--prologue-window", type=positive_int, default=DEFAULT_PROLOGUE_WINDOW,
+                   help="prologue sweep length in bytes (default %(default)s)")
+    p.add_argument("--max-depth", type=positive_int, default=DEFAULT_MAX_DEPTH,
+                   help="nested transfer levels to follow (default %(default)s)")
+    p.add_argument("--carve-out", dest="carve_dir", metavar="DIR",
+                   help="also carve images into DIR")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("carve", help="extract loaded images from a dump")
@@ -90,16 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_analyze(args) -> int:
+def _load(args):
+    """The command's AnalysisOptions (flags it lacks keep their defaults) and its dump."""
     options = AnalysisOptions(
-        map_path=args.map,
-        baseline_guid=args.baseline_guid,
-        prologue_window=args.prologue_window,
-        max_depth=args.max_depth,
-        carve_dir=args.carve_out,
-        unaligned_scan=args.scan_unaligned,
+        **{f.name: getattr(args, f.name) for f in fields(AnalysisOptions) if hasattr(args, f.name)}
     )
-    dump = load_dump(args.dump, options.map_path)
+    return load_dump(args.dump, options.map_path), options
+
+
+def cmd_analyze(args) -> int:
+    dump, options = _load(args)
     report = analyze_dump(dump, options)
     sys.stdout.write(render_text(report))
     if args.json:
@@ -110,8 +131,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_carve(args) -> int:
-    dump = load_dump(args.dump, args.map)
-    image_map = scan_loaded_images(dump, alignment=1 if args.scan_unaligned else 4)
+    dump, options = _load(args)
+    image_map = scan_loaded_images(dump, alignment=options.scan_alignment)
     carved, anomalies = carve_images(dump, image_map, args.out_dir)
     for image in carved:
         flag = "" if image.pe_valid else "  [invalid PE]"
@@ -124,8 +145,8 @@ def cmd_carve(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    dump = load_dump(args.dump, args.map)
-    tables, anomalies = locate_tables(dump, alignment=1 if args.scan_unaligned else 8)
+    dump, options = _load(args)
+    tables, anomalies = locate_tables(dump, alignment=options.scan_alignment)
     for table in tables:
         h = table.header
         print(f"[{table.kind.value} services table @ {table.table_addr:#x}]")

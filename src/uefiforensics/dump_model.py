@@ -130,9 +130,6 @@ class MemoryDump:
             j += 1
         return bytes(out)
 
-    def read_u32(self, addr: PhysAddr) -> int:
-        return struct.unpack("<I", self.read_bytes(addr, 4))[0]
-
     def read_u64(self, addr: PhysAddr) -> int:
         return struct.unpack("<Q", self.read_bytes(addr, 8))[0]
 

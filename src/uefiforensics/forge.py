@@ -27,7 +27,8 @@ from pathlib import Path
 from random import Random
 
 from .dump_model import MemoryDump
-from .image_registry import LDRI_RECORD_LEN, LDRI_SIGNATURE
+from .image_registry import LDRI_RECORD, LDRI_RECORD_LEN, LDRI_SIGNATURE
+from .inline_hooks import DEFAULT_MAX_DEPTH
 from .service_tables import (
     ENTRY_LEN,
     HEADER_LEN,
@@ -272,7 +273,7 @@ class GroundTruth:
     def expected_pointer_findings(self) -> set[tuple[str, str]]:
         return {(h.table.value, h.service) for h in self.pointer_hooks}
 
-    def expected_inline_findings(self, max_depth: int = 3) -> list[InlineHookTruth]:
+    def expected_inline_findings(self, max_depth: int = DEFAULT_MAX_DEPTH) -> list[InlineHookTruth]:
         return [h for h in self.inline_hooks if len(h.chain) <= max_depth]
 
     def image_by_key(self, key: str) -> ImageTruth:
@@ -698,18 +699,6 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
     if STUB_AREA_OFFSET + cell * STUB_SIZE > CHAIN_AREA_OFFSET:
         raise ForgeError("stub area overflows into chain area")
 
-    # --- chain sites ------------------------------------------------------
-    for info in inline_by_service.values():
-        sites = info["sites"]
-        if not sites:
-            continue
-        hops = sites[1:] + [info["payload_addr"]]
-        for site_addr, hop_target in zip(sites, hops):
-            off = site_addr - core.base
-            enc = b"\xE9" + _rel32(site_addr, 5, hop_target)
-            core.buf[off:off + 5] = enc
-            core.buf[off + 5:off + CHAIN_SITE_SIZE] = b"\xCC" * (CHAIN_SITE_SIZE - 5)
-
     # --- payload cells ----------------------------------------------------
     for info in inline_by_service.values():
         img = info["payload_img"]
@@ -787,10 +776,9 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
             encoded = p.spec.path.encode("utf-16-le") + b"\x00\x00"
             path_ptr = record_addr + _LDRI_PATH_OFFSET
             ldri_area[cell_off + _LDRI_PATH_OFFSET:cell_off + _LDRI_PATH_OFFSET + len(encoded)] = encoded
-        record = struct.pack(
-            "<4s4xQQQQ", LDRI_SIGNATURE, p.base, p.spec.size, guid_ptr, path_ptr
+        ldri_area[cell_off:cell_off + LDRI_RECORD_LEN] = LDRI_RECORD.pack(
+            LDRI_SIGNATURE, p.base, p.spec.size, guid_ptr, path_ptr
         )
-        ldri_area[cell_off:cell_off + LDRI_RECORD_LEN] = record
         image_truths.append(
             ImageTruth(
                 key=image.key, guid=p.spec.guid, path=p.spec.path, base=p.base,
@@ -813,8 +801,8 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
             # ldri bytes whose size field cannot possibly be a real image.
             off = ldri_span - 0x800
             addr = geom.ldri_base + off
-            ldri_area[off:off + LDRI_RECORD_LEN] = struct.pack(
-                "<4s4xQQQQ", LDRI_SIGNATURE, 0x1000, 0xFFFF_FFFF_0000, 0, 0
+            ldri_area[off:off + LDRI_RECORD_LEN] = LDRI_RECORD.pack(
+                LDRI_SIGNATURE, 0x1000, 0xFFFF_FFFF_0000, 0, 0
             )
         decoy_truths.append({"kind": decoy.kind, "addr": f"0x{addr:x}"})
 
@@ -893,12 +881,14 @@ def _write_stub(core: _PlacedImage, offset: int, rng: Random, hook_info) -> tupl
             instructions.append((jmp, 2))
             chain.append(TransferTruth(addr + 10, "jmp_indirect", 2, None, jmp.hex()))
 
-        # Hop sites are emitted separately; record their transfers now so the
-        # chain listing is complete.
+        # Chain sites: each hop's bytes and its truth share one encoding.
         sites = hook_info["sites"]
         hops = sites[1:] + [hook_info["payload_addr"]]
         for site_addr, hop_target in zip(sites, hops):
             enc = b"\xE9" + _rel32(site_addr, 5, hop_target)
+            off = site_addr - core.base
+            core.buf[off:off + 5] = enc
+            core.buf[off + 5:off + CHAIN_SITE_SIZE] = b"\xCC" * (CHAIN_SITE_SIZE - 5)
             chain.append(TransferTruth(site_addr, "jmp_relative", 5, hop_target, enc.hex()))
 
         truth = InlineHookTruth(

@@ -164,7 +164,7 @@ def _parse_record(dump: MemoryDump, addr: PhysAddr) -> LoadedImageRecord:
     return LoadedImageRecord(addr, image_base, image_size, ImageIdentity(guid, file_path))
 
 
-def scan_loaded_images(dump: MemoryDump, alignment: int = 4) -> ImageMap:
+def scan_loaded_images(dump: MemoryDump, alignment: int | None = None) -> ImageMap:
     """Scan for `ldri` records and build the validated image map.
 
     Candidates failing validation (size bounds, MZ magic, identity

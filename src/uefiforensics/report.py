@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .carver import CarvedImage, carve_images, manifest_entry
-from .dump_model import Anomaly, MemoryDump, load_dump
+from .dump_model import Anomaly, MemoryDump
 from .image_registry import ImageMap, LoadedImageRecord, scan_loaded_images
 from .inline_hooks import (
     DEFAULT_MAX_DEPTH,
@@ -56,6 +56,11 @@ class AnalysisOptions:
     max_depth: int = DEFAULT_MAX_DEPTH
     carve_dir: str | None = None
     unaligned_scan: bool = False
+
+    @property
+    def scan_alignment(self) -> int | None:
+        """1 scans every byte offset; None, each signature's natural alignment."""
+        return 1 if self.unaligned_scan else None
 
 
 @dataclass
@@ -106,11 +111,8 @@ def content_sha256(dump: MemoryDump) -> str:
 def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> AnalysisReport:
     """Run parse -> detect -> (optionally) carve over a loaded dump."""
     options = options or AnalysisOptions()
-    sig_align = 1 if options.unaligned_scan else 8
-    ldri_align = 1 if options.unaligned_scan else 4
-
-    tables, table_anomalies = locate_tables(dump, alignment=sig_align)
-    image_map = scan_loaded_images(dump, alignment=ldri_align)
+    tables, table_anomalies = locate_tables(dump, alignment=options.scan_alignment)
+    image_map = scan_loaded_images(dump, alignment=options.scan_alignment)
     anomalies = list(table_anomalies) + list(image_map.anomalies)
 
     table_reports: list[TableReport] = []
@@ -118,6 +120,9 @@ def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> An
     inline_findings: list[InlineHookFinding] = []
     for table in tables:
         crc = verify_table_integrity(dump, table)
+        if crc.computed is None:
+            detail = f"header_size {table.header.header_size} runs past the dump span"
+            anomalies.append(Anomaly("crc_unverifiable", table.table_addr, detail))
         baseline = None
         baseline_error = None
         try:
@@ -157,12 +162,6 @@ def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> An
         report.carve_dir = options.carve_dir
         report.anomalies.extend(carve_anomalies)
     return report
-
-
-def analyze_path(dump_path, options: AnalysisOptions | None = None) -> AnalysisReport:
-    options = options or AnalysisOptions()
-    dump = load_dump(dump_path, options.map_path)
-    return analyze_dump(dump, options)
 
 
 def _image_ref(record: LoadedImageRecord | None) -> dict | None:
@@ -219,13 +218,7 @@ def to_json_dict(report: AnalysisReport) -> dict:
         "images": {
             "count": len(report.image_map),
             "records": [
-                {
-                    "guid": r.identity.guid,
-                    "file_path": r.identity.file_path,
-                    "base": _hx(r.image_base),
-                    "size": r.image_size,
-                    "record_addr": _hx(r.record_addr),
-                }
+                {**_image_ref(r), "record_addr": _hx(r.record_addr)}
                 for r in report.image_map.records
             ],
         },
@@ -302,10 +295,11 @@ def render_text(report: AnalysisReport) -> str:
             f"  revision={t.header.revision:#x} header_size={t.header.header_size}"
             f" entries={len(t.entries)} null={len(t.null_entries)}"
         )
-        lines.append(
-            f"  crc32 stored={tr.crc.stored:#010x} computed={tr.crc.computed:#010x}"
-            f" {'ok' if tr.crc.crc_ok else 'MISMATCH'} (advisory)"
-        )
+        if tr.crc.computed is None:
+            checked = "UNVERIFIABLE (range past dump end)"
+        else:
+            checked = f"computed={tr.crc.computed:#010x} {'ok' if tr.crc.crc_ok else 'MISMATCH'}"
+        lines.append(f"  crc32 stored={tr.crc.stored:#010x} {checked} (advisory)")
         if tr.baseline is not None:
             b = tr.baseline
             lines.append(

@@ -123,10 +123,6 @@ class TableKind(enum.Enum):
     def signature(self) -> bytes:
         return _SIGNATURES[self]
 
-    @property
-    def services(self) -> tuple[str, ...]:
-        return _LAYOUTS[self]
-
 
 _SIGNATURES = {
     TableKind.BOOT: BOOT_SIGNATURE,
@@ -139,8 +135,6 @@ _LAYOUTS = {
     TableKind.RUNTIME: RUNTIME_SERVICES,
     TableKind.DXE: DXE_SERVICES,
 }
-
-SIGNATURE_TO_KIND = {sig: kind for kind, sig in _SIGNATURES.items()}
 
 # Fixed presentation/sort order for reports.
 KIND_ORDER = (TableKind.BOOT, TableKind.RUNTIME, TableKind.DXE)
@@ -239,18 +233,19 @@ def parse_table(dump: MemoryDump, kind: TableKind, addr: PhysAddr) -> ServiceTab
     return ServiceTable(kind, addr, header, entries, tuple(flags))
 
 
-def find_table_candidates(dump: MemoryDump, alignment: int = 8) -> list[tuple[TableKind, PhysAddr]]:
-    """Signature-scan for table candidates without validating them."""
-    candidates = []
-    for kind in KIND_ORDER:
-        for hit in dump.find_signature(kind.signature, alignment):
-            candidates.append((kind, hit.addr))
-    candidates.sort(key=lambda c: (KIND_ORDER.index(c[0]), c[1]))
-    return candidates
+def find_table_candidates(
+    dump: MemoryDump, alignment: int | None = None
+) -> list[tuple[TableKind, PhysAddr]]:
+    """Signature-scan for table candidates, in (kind, address) order, unvalidated."""
+    return [
+        (kind, hit.addr)
+        for kind in KIND_ORDER
+        for hit in dump.find_signature(kind.signature, alignment)
+    ]
 
 
 def locate_tables(
-    dump: MemoryDump, alignment: int = 8
+    dump: MemoryDump, alignment: int | None = None
 ) -> tuple[list[ServiceTable], list[Anomaly]]:
     """Locate and parse all service tables, collecting parse anomalies.
 
@@ -294,7 +289,7 @@ def compute_table_crc32(dump: MemoryDump, table: ServiceTable) -> int:
 class CrcStatus:
     crc_ok: bool
     stored: int
-    computed: int
+    computed: int | None  # None: the header_size range runs past the dump span
 
 
 def verify_table_integrity(dump: MemoryDump, table: ServiceTable) -> CrcStatus:
@@ -303,6 +298,8 @@ def verify_table_integrity(dump: MemoryDump, table: ServiceTable) -> CrcStatus:
     Advisory metadata only: bootkits routinely recalculate the checksum
     after patching pointers, so detection never keys off this result.
     """
-    computed = compute_table_crc32(dump, table)
     stored = table.header.crc32
+    if not dump.in_span(table.table_addr, table.header.header_size):
+        return CrcStatus(crc_ok=False, stored=stored, computed=None)
+    computed = compute_table_crc32(dump, table)
     return CrcStatus(crc_ok=(stored == computed), stored=stored, computed=computed)

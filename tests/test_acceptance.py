@@ -15,8 +15,8 @@ from random import Random
 from uefiforensics.carver import carve_images
 from uefiforensics.dump_model import load_dump
 from uefiforensics.forge import (
+    COMPACT_GEOMETRY,
     CORE_GUID,
-    Geometry,
     ImageSpec,
     ScenarioSpec,
     build_scenario,
@@ -226,11 +226,6 @@ def test_c10_structural_laws_over_randomized_dumps():
 
 
 def test_c11_performance_envelope(tmp_path):
-    big_geometry = Geometry(
-        core_base=0x10_0000, core_size=0x8000, table_base=0x20_0000,
-        table_stride=0x1000, ldri_base=0x20_8000, aux_base=0x21_0000,
-        aux_align=0x1000, low_region_len=0x1000, region_align=0x1000,
-    )
     spec = ScenarioSpec(
         name="big",
         images=(
@@ -238,7 +233,7 @@ def test_c11_performance_envelope(tmp_path):
             ImageSpec(path="\\EFI\\big\\blob1.efi", size=0x800_0000),
             ImageSpec(path="\\EFI\\big\\blob2.efi", size=0x800_0000),
         ),
-        geometry=big_geometry,
+        geometry=COMPACT_GEOMETRY,
     )
     scenario = build_scenario(spec)
     paths = scenario.write(tmp_path)

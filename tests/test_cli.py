@@ -6,6 +6,7 @@ import pytest
 from uefiforensics.cli import main
 from uefiforensics.forge import COMPACT_GEOMETRY, build_scenario, scenario_by_name
 from uefiforensics.report import analyze_dump, to_json_dict
+from uefiforensics.service_tables import BOOT_SIGNATURE, TABLE_HEADER
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +156,51 @@ def test_max_depth_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 2
     assert "CreateEventEx" in out
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["analyze"],
+    ["analyze", "x.dump", "--bogus-flag"],
+    ["analyze", "x.dump", "--max-depth", "0"],
+    ["analyze", "x.dump", "--prologue-window", "0"],
+    ["analyze", "x.dump", "--max-depth", "-2"],
+    ["analyze", "x.dump", "--prologue-window", "many"],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1  # 2 would read as "findings present"
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["--version"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_crc_range_past_dump_end_is_unverifiable(tmp_path, capsys):
+    # The entry array fits, so the table parses; its header_size runs the
+    # CRC range 0xC00 bytes past the end of the 0x1000-byte dump.
+    data = bytearray(0x1000)
+    data[0xC00:0xC00 + TABLE_HEADER.size] = TABLE_HEADER.pack(
+        BOOT_SIGNATURE, 0x0002_0046, 4096, 0x1234_5678, 0
+    )
+    blob = tmp_path / "inflated.dump"
+    blob.write_bytes(bytes(data))
+    out_json = tmp_path / "report.json"
+    rc = main(["analyze", str(blob), "--json", str(out_json)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "crc32 stored=0x12345678 UNVERIFIABLE (range past dump end)" in out
+    doc = json.loads(out_json.read_text())
+    (table,) = doc["tables"]
+    assert (table["kind"], table["addr"], table["entry_count"]) == ("boot", "0xc00", 44)
+    assert table["crc"] == {"stored": "0x12345678", "computed": None, "ok": False}
+    assert {"kind": "crc_unverifiable", "addr": "0xc00",
+            "detail": "header_size 4096 runs past the dump span"} in doc["anomalies"]
+    # Detection still ran on the table: it found no image to baseline against.
+    assert any(a["kind"] == "no_baseline" and a["addr"] == "0xc00" for a in doc["anomalies"])
