@@ -32,8 +32,6 @@ from .report import (
 )
 from .service_tables import locate_tables
 
-logger = logging.getLogger(__name__)
-
 LOG_ENV_VAR = "UEFIFORENSICS_LOG"
 
 

@@ -6,25 +6,30 @@ service function's prologue, classifies control transfers, and follows
 benign-looking in-image transfers through a bounded number of nesting
 levels (attackers chain in-image jumps to defeat single-hop checks).
 
-The decoder is intentionally narrow: control-transfer opcodes are decoded
-in full (with legacy/REX prefixes), common straight-line instructions are
-length-decoded and skipped, and anything else is classified opaque, which
-terminates the sweep. A full-fidelity disassembler can be dropped in
-behind ``decode_instruction`` without touching the detection logic.
+The decoder is one opcode map (Intel SDM Vol. 2, Appendix A): after up to
+four legacy prefixes and a REX byte, the one-byte or ``0F`` opcode selects
+a form (mod/rm operand or not, immediate width, kind), and every
+instruction takes the same path through it. Control transfers (``call``,
+``jmp``, ``jcc``, the ``FF`` indirect forms) are decoded in full; common
+straight-line instructions are length-decoded and skipped, among them
+``endbr64`` and the other hint NOPs, ``cmovcc``, ``setcc``, the ``D0``-``D3``
+shifts, ``cmpxchg`` and ``stos``. Opaque, which ends the sweep, is
+anything else: opcodes not in the map, forms a CPU rejects (register
+operands of ``lea`` and far ``call``/``jmp``, ``C6``/``C7`` other than
+``mov``) and encodings longer than 15 bytes. A full-fidelity disassembler
+can be dropped in behind ``decode_instruction`` without touching the
+detection logic.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass, replace
 
 from .dump_model import MemoryDump, OutOfBoundsRead, PhysAddr
 from .image_registry import ImageMap, LoadedImageRecord
 from .pointer_hooks import OwnershipBaseline
 from .service_tables import ServiceTable, TableKind
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_PROLOGUE_WINDOW = 32
 DEFAULT_MAX_DEPTH = 3
@@ -92,41 +97,62 @@ class InlineHookFinding:
 
 
 _LEGACY_PREFIXES = frozenset({0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x67, 0xF0, 0xF2, 0xF3})
+_MAX_INSTRUCTION_LENGTH = 15  # architectural limit; longer encodings raise #GP
 
-# One-byte instructions with no operands.
-_SINGLE = frozenset(
-    {0x90, 0x98, 0x99, 0xC9, 0xCC, 0xF4, 0xF5, 0xF8, 0xF9, 0xFA, 0xFB, 0xFC, 0xFD}
-    | set(range(0x50, 0x60))  # push/pop reg
+# Immediate widths set by prefixes. A 16/32-bit immediate ("Iz") is opaque
+# under 0x66, which would shrink it; mov reg, imm ("Iv") is imm32, or imm64
+# with REX.W, and is opaque under 0x66 too.
+_IMM_Z = -1
+_IMM_V = -2
+
+# Kinds of the group opcodes by mod/rm reg field; None is an undefined form.
+_GROUP_MOV = ("skip",) + (None,) * 7
+_GROUP_FE = ("skip", "skip") + (None,) * 6
+_GROUP_FF = (
+    "skip", "skip",  # inc, dec
+    TransferKind.CALL_INDIRECT, TransferKind.CALL_INDIRECT,  # near, far
+    TransferKind.JMP_INDIRECT, TransferKind.JMP_INDIRECT,  # near, far
+    "skip", None,  # push
 )
 
-# Opcodes taking only a mod/rm-encoded operand.
-_MODRM_SKIP = frozenset(
-    set(range(0x00, 0x04)) | set(range(0x08, 0x0C)) | set(range(0x10, 0x14))
-    | set(range(0x18, 0x1C)) | set(range(0x20, 0x24)) | set(range(0x28, 0x2C))
-    | set(range(0x30, 0x34)) | set(range(0x38, 0x3C))
-    | {0x63, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8A, 0x8B, 0x8D}
+# The opcode map (Intel SDM Vol. 2, Appendix A): opcode -> (has_modrm,
+# imm_bytes, kind). Two-byte opcodes are keyed 0x0Fxx. ``kind`` is "skip",
+# "ret", a TransferKind or a group row; a relative transfer's immediate is
+# its displacement, and a transfer with a mod/rm operand is indirect.
+# Anything absent is opaque.
+_ALU = range(0x00, 0x40, 8)  # add, or, adc, sbb, and, sub, xor, cmp
+_FORMS = (
+    ((False, 0, "skip"), (
+        *range(0x50, 0x60), 0x90, 0x98, 0x99, 0xAA, 0xAB, 0xC9, 0xCC, 0xF4, 0xF5,
+        *range(0xF8, 0xFE), 0x0F05,
+    )),
+    ((True, 0, "skip"), (
+        *(base + op for base in _ALU for op in range(4)), 0x63, *range(0x84, 0x8C), 0x8D,
+        *range(0xD0, 0xD4), 0x0F18, 0x0F19, *range(0x0F1C, 0x0F20), *range(0x0F40, 0x0F50),
+        *range(0x0F90, 0x0FA0), 0x0FAF, 0x0FB0, 0x0FB1, 0x0FB6, 0x0FB7, 0x0FBE, 0x0FBF,
+    )),
+    ((True, 1, "skip"), (0x6B, 0x80, 0x83, 0xC0, 0xC1)),
+    ((True, _IMM_Z, "skip"), (0x69, 0x81)),
+    ((False, 1, "skip"), (*(base + 4 for base in _ALU), 0x6A, 0xA8, *range(0xB0, 0xB8))),
+    ((False, _IMM_Z, "skip"), (*(base + 5 for base in _ALU), 0x68, 0xA9)),
+    ((False, _IMM_V, "skip"), range(0xB8, 0xC0)),
+    ((False, 0, "ret"), (0xC3,)),
+    ((False, 2, "ret"), (0xC2,)),
+    ((False, 1, TransferKind.JCC_RELATIVE), range(0x70, 0x80)),
+    ((False, 4, TransferKind.JCC_RELATIVE), range(0x0F80, 0x0F90)),
+    ((False, 4, TransferKind.CALL_RELATIVE), (0xE8,)),
+    ((False, 4, TransferKind.JMP_RELATIVE), (0xE9,)),
+    ((False, 1, TransferKind.JMP_RELATIVE), (0xEB,)),
+    ((True, 1, _GROUP_MOV), (0xC6,)),
+    ((True, _IMM_Z, _GROUP_MOV), (0xC7,)),
+    ((True, 0, _GROUP_FE), (0xFE,)),
+    ((True, 0, _GROUP_FF), (0xFF,)),
 )
+_OPCODE_MAP = {op: form for form, ops in _FORMS for op in ops}
 
-# mod/rm plus an 8-bit immediate.
-_MODRM_IMM8 = frozenset({0x80, 0x83, 0xC0, 0xC1, 0xC6, 0x6B})
-# mod/rm plus a 32-bit immediate.
-_MODRM_IMM32 = frozenset({0x81, 0xC7, 0x69})
-
-# Accumulator/immediate forms.
-_IMM8_ONLY = frozenset({0x04, 0x0C, 0x14, 0x1C, 0x24, 0x2C, 0x34, 0x3C, 0x6A, 0xA8})
-_IMM32_ONLY = frozenset({0x05, 0x0D, 0x15, 0x1D, 0x25, 0x2D, 0x35, 0x3D, 0x68, 0xA9})
-
-# Two-byte (0F xx) opcodes taking a mod/rm operand.
-_MODRM_SKIP_0F = frozenset({0x1F, 0xAF, 0xB6, 0xB7, 0xBE, 0xBF})
-
-# Instructions whose immediate width depends on the 0x66 operand-size
-# prefix; decoded opaque when 0x66 is present to avoid bogus lengths.
-_OPSIZE_SENSITIVE = _MODRM_IMM32 | _IMM32_ONLY | set(range(0xB8, 0xC0))
-
-
-def _sext(value: int, bits: int) -> int:
-    sign = 1 << (bits - 1)
-    return (value & (sign - 1)) - (value & sign)
+# (opcode, reg) forms whose operand must be memory: mod = 3 is undefined
+# (lea, far call, far jmp).
+_MEMORY_ONLY = frozenset({(0x8D, reg) for reg in range(8)} | {(0xFF, 3), (0xFF, 5)})
 
 
 def _modrm_operand_len(window: bytes, i: int) -> tuple[int, int, int]:
@@ -163,98 +189,50 @@ def decode_instruction(window: bytes, at: PhysAddr) -> DecodedInstruction | None
         window = bytes(window) + b"\x00" * (DECODE_WINDOW - len(window))
 
     i = 0
-    has_opsize = False
     while window[i] in _LEGACY_PREFIXES and i < 4:
-        has_opsize = has_opsize or window[i] == 0x66
         i += 1
+    prefixes = window[:i]
     rex = 0
     if 0x40 <= window[i] <= 0x4F:
         rex = window[i]
         i += 1
 
     op = window[i]
+    if op == 0x0F:
+        i += 1
+        op = 0x0F00 | window[i]
+    form = _OPCODE_MAP.get(op)
+    if form is None:
+        return None
     i += 1
 
-    def transfer(kind: TransferKind, length: int, target, slot=None):
-        return DecodedInstruction(
-            length, "transfer",
-            ControlTransfer(at, kind, length, target, indirect_slot=slot),
-        )
-
-    if op == 0xE8 or op == 0xE9:
-        disp = _sext(int.from_bytes(window[i:i + 4], "little"), 32)
-        length = i + 4
-        kind = TransferKind.CALL_RELATIVE if op == 0xE8 else TransferKind.JMP_RELATIVE
-        return transfer(kind, length, (at + length + disp) & _MASK64)
-    if op == 0xEB:
-        length = i + 1
-        disp = _sext(window[i], 8)
-        return transfer(TransferKind.JMP_RELATIVE, length, (at + length + disp) & _MASK64)
-    if 0x70 <= op <= 0x7F:
-        length = i + 1
-        disp = _sext(window[i], 8)
-        return transfer(TransferKind.JCC_RELATIVE, length, (at + length + disp) & _MASK64)
-
-    if op == 0x0F:
-        op2 = window[i]
-        i += 1
-        if 0x80 <= op2 <= 0x8F:
-            disp = _sext(int.from_bytes(window[i:i + 4], "little"), 32)
-            length = i + 4
-            return transfer(TransferKind.JCC_RELATIVE, length, (at + length + disp) & _MASK64)
-        if op2 in _MODRM_SKIP_0F:
-            n, _, _ = _modrm_operand_len(window, i)
-            return DecodedInstruction(i + n, "skip")
-        if op2 == 0x05:  # syscall
-            return DecodedInstruction(i, "skip")
-        return None
-
-    if op == 0xFF:
+    has_modrm, imm, kind = form
+    if has_modrm:
+        reg = (window[i] >> 3) & 7
         n, mod, rm = _modrm_operand_len(window, i)
-        regop = (window[i] >> 3) & 7
-        length = i + n
-        if regop in (0, 1, 6):  # inc/dec/push
-            return DecodedInstruction(length, "skip")
-        if regop in (2, 3, 4, 5):
-            kind = TransferKind.CALL_INDIRECT if regop in (2, 3) else TransferKind.JMP_INDIRECT
-            slot = None
-            if mod == 0 and rm == 5:
-                disp = _sext(int.from_bytes(window[length - 4:length], "little"), 32)
-                slot = (at + length + disp) & _MASK64
-            return transfer(kind, length, None, slot=slot)
-        return None
-    if op == 0xFE:
-        n, _, _ = _modrm_operand_len(window, i)
-        if (window[i] >> 3) & 7 in (0, 1):
-            return DecodedInstruction(i + n, "skip")
+        if type(kind) is tuple:
+            kind = kind[reg]
+        if kind is None or (mod == 3 and (op, reg) in _MEMORY_ONLY):
+            return None
+        i += n
+    if imm < 0:
+        if 0x66 in prefixes:
+            return None
+        imm = 8 if imm == _IMM_V and rex & 0x08 else 4
+    length = i + imm
+    if length > _MAX_INSTRUCTION_LENGTH:
         return None
 
-    if op == 0xC3:
-        return DecodedInstruction(i, "ret")
-    if op == 0xC2:
-        return DecodedInstruction(i + 2, "ret")
-
-    if op in _SINGLE:
-        return DecodedInstruction(i, "skip")
-    if has_opsize and op in _OPSIZE_SENSITIVE:
-        return None
-    if op in _MODRM_SKIP:
-        n, _, _ = _modrm_operand_len(window, i)
-        return DecodedInstruction(i + n, "skip")
-    if op in _MODRM_IMM8:
-        n, _, _ = _modrm_operand_len(window, i)
-        return DecodedInstruction(i + n + 1, "skip")
-    if op in _MODRM_IMM32:
-        n, _, _ = _modrm_operand_len(window, i)
-        return DecodedInstruction(i + n + 4, "skip")
-    if op in _IMM8_ONLY or 0xB0 <= op <= 0xB7:
-        return DecodedInstruction(i + 1, "skip")
-    if op in _IMM32_ONLY:
-        return DecodedInstruction(i + 4, "skip")
-    if 0xB8 <= op <= 0xBF:  # mov reg, imm32/imm64
-        return DecodedInstruction(i + (8 if rex & 0x08 else 4), "skip")
-
-    return None
+    if type(kind) is str:
+        return DecodedInstruction(length, kind)
+    target = slot = None
+    if not has_modrm:
+        target = (at + length + int.from_bytes(window[i:length], "little", signed=True)) & _MASK64
+    elif mod == 0 and rm == 5:
+        slot = (at + length + int.from_bytes(window[i - 4:i], "little", signed=True)) & _MASK64
+    return DecodedInstruction(
+        length, "transfer", ControlTransfer(at, kind, length, target, indirect_slot=slot)
+    )
 
 
 def scan_prologue(

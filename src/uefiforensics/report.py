@@ -10,7 +10,6 @@ human-readable text block per table. Wall-clock time lives only in
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -38,8 +37,6 @@ from .service_tables import (
     locate_tables,
     verify_table_integrity,
 )
-
-logger = logging.getLogger(__name__)
 
 EXIT_CLEAN = 0
 EXIT_ERROR = 1

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import binascii
 import enum
-import logging
 import struct
 from dataclasses import dataclass
 
 from .dump_model import Anomaly, MemoryDump, OutOfBoundsRead, PhysAddr
-
-logger = logging.getLogger(__name__)
 
 TABLE_HEADER = struct.Struct("<8sIIII")
 HEADER_LEN = TABLE_HEADER.size  # 24

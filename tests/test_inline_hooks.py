@@ -5,6 +5,7 @@ import pytest
 
 from uefiforensics.dump_model import MemoryDump, OutOfBoundsRead
 from uefiforensics.forge import (
+    EFIGUARD_PATH,
     MOONBOUNCE_PAYLOAD_GUID,
     STYLE_MOV_JMP,
     InlineHookSpec,
@@ -28,6 +29,7 @@ from uefiforensics.inline_hooks import (
     scan_prologue,
 )
 from uefiforensics.pointer_hooks import infer_baseline
+from uefiforensics.report import analyze_dump
 from uefiforensics.service_tables import (
     ServiceEntry,
     ServiceTable,
@@ -90,22 +92,54 @@ def test_decode_indirect_rip_relative_reports_slot():
 
 
 def test_decode_ret_and_skip_lengths():
+    # The forge stub pool's skip lengths are checked in test_decoder_differential.
     assert decode_instruction(b"\xC3" + bytes(15), 0).kind == "ret"
     ret_imm = decode_instruction(b"\xC2\x08\x00" + bytes(13), 0)
     assert ret_imm.kind == "ret" and ret_imm.length == 3
-    # forge stub pool encodings, lengths must match exactly
     for encoding, length in (
-        ("48895C2408", 5), ("4883EC28", 4), ("53", 1), ("55", 1), ("90", 1),
-        ("31C0", 2), ("4831C9", 3), ("488BC1", 3), ("4C8BD1", 3), ("8BC2", 2),
-        ("B801000000", 5), ("0F1F4000", 4), ("4885C0", 3), ("48B8" + "00" * 8, 10),
+        ("48B8" + "00" * 8, 10),  # mov rax, imm64
+        ("F30F1EFA", 4),          # endbr64
+        ("0F1808", 3),            # prefetcht0 [rax]
+        ("480F44C1", 4),          # cmove rax, rcx
+        ("0F94C0", 3),            # sete al
+        ("D1E0", 2),              # shl eax, 1
+        ("48D3E8", 3),            # shr rax, cl
+        ("F00FB10A", 4),          # lock cmpxchg [rdx], ecx
+        ("F348AB", 3),            # rep stosq
+        ("F2F32E48818424" + "00" * 8, 15),  # add qword [rsp+0], 0 with 3 prefixes
     ):
         d = decode_instruction(bytes.fromhex(encoding) + bytes(16), 0)
         assert d is not None and d.kind == "skip" and d.length == length, encoding
 
 
 def test_decode_opaque():
-    assert decode_instruction(b"\x0F\x0B" + bytes(14), 0) is None  # ud2
-    assert decode_instruction(b"\xD8\x00" + bytes(14), 0) is None  # x87
+    for encoding in (
+        "0F0B",          # ud2
+        "D800",          # x87
+        # Forms a CPU rejects end the sweep too.
+        "FFD9",          # far call through a register (FF /3, mod = 3)
+        "FFE9",          # far jmp through a register (FF /5, mod = 3)
+        "8DC0",          # lea from a register
+        "C60801",        # C6 /1
+        "C6C801",        # C6 /1, register form
+        "C7C801000000",  # C7 /1
+        "F0F2F32E48818424" + "00" * 8,  # the add above with 4 prefixes: 16 bytes
+    ):
+        assert decode_instruction(bytes.fromhex(encoding) + bytes(16), 0) is None, encoding
+
+
+def patch_dump(dump: MemoryDump, addr: int, code: bytes) -> MemoryDump:
+    """A copy of ``dump`` with ``code`` written at physical address ``addr``."""
+    pieces = []
+    for region in dump.regions:
+        buf = bytearray(dump.read_bytes(region.phys_start, region.length))
+        offset = addr - region.phys_start
+        if 0 <= offset <= region.length - len(code):
+            buf[offset:offset + len(code)] = code
+        pieces.append((region.phys_start, bytes(buf)))
+    patched = MemoryDump.from_regions(pieces)
+    assert patched.read_bytes(addr, len(code)) == code
+    return patched
 
 
 def make_code_dump(code: bytes, at=0x1000, span=0x4000):
@@ -343,3 +377,30 @@ def test_decoder_lengths_match_forge_listings(forged):
                 assert decoded is not None, f"{name}:{key} opaque at {at:#x}"
                 assert decoded.length == length, f"{name}:{key} at {at:#x}"
                 assert window[:length].hex() == encoding
+
+
+def test_hook_after_endbr64_found(forged):
+    # CET-built functions open with endbr64; the hook sits right after it.
+    scenario = forged("efiguard")
+    function_addr = scenario.truth.tables["boot"].true_pointers["CreateEventEx"]
+    payload = scenario.truth.image_by_key(EFIGUARD_PATH).base + 0x400
+    jmp_at = function_addr + 4
+    code = bytes.fromhex("F30F1EFA") + b"\xE9" + struct.pack("<i", payload - (jmp_at + 5))
+    dump = patch_dump(scenario.dump, function_addr, code)
+    (finding,) = analyze_dump(dump).inline_findings
+    assert finding.service_name == "CreateEventEx"
+    assert finding.hook_addr == function_addr + 4
+    assert finding.chain[0].kind is TransferKind.JMP_RELATIVE
+    assert finding.final_target == payload
+    assert finding.target_image.identity.file_path == EFIGUARD_PATH
+
+
+def test_register_far_call_is_not_a_transfer(forged):
+    # FF D9 (call far through rbx) raises #UD: the sweep stops, no finding.
+    scenario = forged("clean")
+    function_addr = scenario.truth.tables["boot"].true_pointers["RaiseTPL"]
+    dump = patch_dump(scenario.dump, function_addr, b"\xFF\xD9")
+    assert scan_prologue(dump, function_addr).stop_reason == STOP_OPAQUE
+    report = analyze_dump(dump)
+    assert report.inline_findings == []
+    assert report.exit_code == 0
