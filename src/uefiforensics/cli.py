@@ -22,6 +22,7 @@ from .dump_model import DumpLoadError, load_dump
 from .forge import ForgeError, build_scenario, builtin_scenarios, scenario_by_name
 from .image_registry import scan_loaded_images
 from .inline_hooks import DEFAULT_MAX_DEPTH, DEFAULT_PROLOGUE_WINDOW
+from .inline_hooks import MAX_DEPTH_LIMIT, PROLOGUE_WINDOW_LIMIT
 from .report import (
     EXIT_CLEAN,
     EXIT_ERROR,
@@ -51,11 +52,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_range(limit: int):
+    """An argparse type taking integers from 1 to ``limit``."""
+    def integer(text: str) -> int:  # argparse's error names the type by __name__
+        value = int(text)
+        if not 1 <= value <= limit:
+            raise argparse.ArgumentTypeError(f"must be from 1 to {limit}, got {value}")
+        return value
+    return integer
 
 
 # Flag destinations are AnalysisOptions field names, so _load can pass them on.
@@ -83,10 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dump_args(p)
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p.add_argument("--baseline-guid", help="override baseline inference with this image GUID")
-    p.add_argument("--prologue-window", type=positive_int, default=DEFAULT_PROLOGUE_WINDOW,
-                   help="prologue sweep length in bytes (default %(default)s)")
-    p.add_argument("--max-depth", type=positive_int, default=DEFAULT_MAX_DEPTH,
-                   help="nested transfer levels to follow (default %(default)s)")
+    p.add_argument("--prologue-window", type=int_range(PROLOGUE_WINDOW_LIMIT),
+                   default=DEFAULT_PROLOGUE_WINDOW,
+                   help=f"prologue sweep bytes, 1-{PROLOGUE_WINDOW_LIMIT} (default %(default)s)")
+    p.add_argument("--max-depth", type=int_range(MAX_DEPTH_LIMIT), default=DEFAULT_MAX_DEPTH,
+                   help=f"nested transfer levels, 1-{MAX_DEPTH_LIMIT} (default %(default)s)")
     p.add_argument("--carve-out", dest="carve_dir", metavar="DIR",
                    help="also carve images into DIR")
     p.set_defaults(func=cmd_analyze)

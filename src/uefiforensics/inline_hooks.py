@@ -3,22 +3,22 @@
 Inline hooks patch the first instructions of a target function with a
 control transfer into attacker code. The detector linearly sweeps each
 service function's prologue, classifies control transfers, and follows
-benign-looking in-image transfers through a bounded number of nesting
-levels (attackers chain in-image jumps to defeat single-hop checks).
+benign-looking in-image transfers breadth-first through a bounded number of
+nesting levels (attackers chain in-image jumps to defeat single-hop checks).
 
 The decoder is one opcode map (Intel SDM Vol. 2, Appendix A): after up to
 four legacy prefixes and a REX byte, the one-byte or ``0F`` opcode selects
 a form (mod/rm operand or not, immediate width, kind), and every
 instruction takes the same path through it. Control transfers (``call``,
-``jmp``, ``jcc``, the ``FF`` indirect forms) are decoded in full; common
-straight-line instructions are length-decoded and skipped, among them
-``endbr64`` and the other hint NOPs, ``cmovcc``, ``setcc``, the ``D0``-``D3``
-shifts, ``cmpxchg`` and ``stos``. Opaque, which ends the sweep, is
-anything else: opcodes not in the map, forms a CPU rejects (register
-operands of ``lea`` and far ``call``/``jmp``, ``C6``/``C7`` other than
-``mov``) and encodings longer than 15 bytes. A full-fidelity disassembler
-can be dropped in behind ``decode_instruction`` without touching the
-detection logic.
+``jmp``, ``jcc``, the ``FF`` indirect forms; far ones get no target) are
+decoded in full; common straight-line instructions are length-decoded and
+skipped, among them ``endbr64`` and the other hint NOPs, ``cmovcc``,
+``setcc``, the ``D0``-``D3`` shifts, ``cmpxchg`` and ``stos``. Opaque,
+which ends the sweep, is anything else: opcodes not in the map, forms a
+CPU rejects (register operands of ``lea`` and far ``call``/``jmp``,
+``C6``/``C7`` other than ``mov``) and encodings longer than 15 bytes. A
+full-fidelity disassembler can be dropped in behind ``decode_instruction``
+without touching the detection logic.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .service_tables import ServiceTable, TableKind
 
 DEFAULT_PROLOGUE_WINDOW = 32
 DEFAULT_MAX_DEPTH = 3
+PROLOGUE_WINDOW_LIMIT = 4096  # one page
+MAX_DEPTH_LIMIT = 8  # twice the forge's deepest chain
 DECODE_WINDOW = 16
 _MASK64 = (1 << 64) - 1
 
@@ -228,7 +230,7 @@ def decode_instruction(window: bytes, at: PhysAddr) -> DecodedInstruction | None
     target = slot = None
     if not has_modrm:
         target = (at + length + int.from_bytes(window[i:length], "little", signed=True)) & _MASK64
-    elif mod == 0 and rm == 5:
+    elif mod == 0 and rm == 5 and (op, reg) not in _MEMORY_ONLY:
         slot = (at + length + int.from_bytes(window[i - 4:i], "little", signed=True)) & _MASK64
     return DecodedInstruction(
         length, "transfer", ControlTransfer(at, kind, length, target, indirect_slot=slot)
@@ -253,8 +255,6 @@ def scan_prologue(
 
     avail = min(window + DECODE_WINDOW, dump.total_span - function_addr)
     code = dump.read_bytes(function_addr, avail)
-    if avail < window + DECODE_WINDOW:
-        code += b"\x00" * (window + DECODE_WINDOW - avail)
 
     transfers: list[ControlTransfer] = []
     cursor = 0
@@ -310,45 +310,40 @@ def detect_inline_hooks(
         owner = image_map.resolve_owner(entry.pointer)
         if owner is None and baseline is not None:
             owner = baseline.image
-        if owner is None or not dump.in_span(entry.pointer):
+        if owner is None:
             continue
 
-        def emit(chain: tuple[ControlTransfer, ...], indeterminate: bool) -> None:
-            last = chain[-1]
-            target_image = (
-                image_map.resolve_owner(last.target) if last.target is not None else None
-            )
-            findings.append(
-                InlineHookFinding(
-                    table_kind=table.kind,
-                    service_name=entry.name,
-                    function_addr=entry.pointer,
-                    hook_addr=chain[0].at,
-                    final_target=last.target,
-                    chain=chain,
-                    target_image=target_image,
-                    indeterminate=indeterminate,
-                    note=CROSS_IMAGE_NOTE if target_image is not None else None,
+        # Breadth-first over a worklist that grows as it is read: each address
+        # is swept once, on its shortest chain; each escape is reported once.
+        swept = {entry.pointer}
+        reported: set[tuple[PhysAddr, PhysAddr | None]] = set()
+        frontier: list[tuple[PhysAddr, tuple[ControlTransfer, ...]]] = [(entry.pointer, ())]
+        for addr, chain in frontier:
+            if not dump.in_span(addr):
+                continue
+            for t in scan_prologue(dump, addr, window).transfers:
+                extended = chain + (t,)
+                if t.target is not None and owner.contains(t.target):
+                    if len(extended) < max_depth and t.target not in swept:
+                        swept.add(t.target)
+                        frontier.append((t.target, extended))
+                    continue
+                if (t.at, t.target) in reported:
+                    continue
+                reported.add((t.at, t.target))
+                target_image = image_map.resolve_owner(t.target) if t.target is not None else None
+                findings.append(
+                    InlineHookFinding(
+                        table_kind=table.kind,
+                        service_name=entry.name,
+                        function_addr=entry.pointer,
+                        hook_addr=extended[0].at,
+                        final_target=t.target,
+                        chain=extended,
+                        target_image=target_image,
+                        indeterminate=t.target is None,
+                        note=CROSS_IMAGE_NOTE if target_image is not None else None,
+                    )
                 )
-            )
-
-        _walk(dump, owner, entry.pointer, window, (), max_depth, emit)
 
     return findings
-
-
-def _walk(dump, owner, addr, window, chain, max_depth, emit) -> None:
-    try:
-        scan = scan_prologue(dump, addr, window)
-    except OutOfBoundsRead:
-        return
-    for t in scan.transfers:
-        extended = chain + (t,)
-        if t.target is None:
-            emit(extended, True)
-            continue
-        if owner.contains(t.target):
-            if len(extended) < max_depth:
-                _walk(dump, owner, t.target, window, extended, max_depth, emit)
-        else:
-            emit(extended, False)

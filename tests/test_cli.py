@@ -5,6 +5,7 @@ import pytest
 
 from uefiforensics.cli import main
 from uefiforensics.forge import COMPACT_GEOMETRY, build_scenario, scenario_by_name
+from uefiforensics.inline_hooks import MAX_DEPTH_LIMIT, PROLOGUE_WINDOW_LIMIT
 from uefiforensics.report import analyze_dump, to_json_dict
 from uefiforensics.service_tables import BOOT_SIGNATURE, TABLE_HEADER
 
@@ -166,12 +167,27 @@ def test_max_depth_flag(tmp_path, capsys):
     ["analyze", "x.dump", "--prologue-window", "0"],
     ["analyze", "x.dump", "--max-depth", "-2"],
     ["analyze", "x.dump", "--prologue-window", "many"],
+    ["analyze", "x.dump", "--max-depth", str(MAX_DEPTH_LIMIT + 1)],
+    ["analyze", "x.dump", "--prologue-window", str(PROLOGUE_WINDOW_LIMIT + 1)],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1  # 2 would read as "findings present"
     assert "error:" in capsys.readouterr().err
+
+
+def test_flag_limits_accepted_and_shown(fixture_dir, capsys):
+    rc = main(["analyze", str(fixture_dir / "clean.dump"),
+               "--max-depth", str(MAX_DEPTH_LIMIT),
+               "--prologue-window", str(PROLOGUE_WINDOW_LIMIT)])
+    assert rc == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"1-{MAX_DEPTH_LIMIT} (default 3)" in help_text
+    assert f"1-{PROLOGUE_WINDOW_LIMIT} (default 32)" in help_text
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["--version"]])

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import pytest
 
+from uefiforensics import inline_hooks
 from uefiforensics.dump_model import MemoryDump, OutOfBoundsRead
 from uefiforensics.forge import (
+    BOOTMGFW_PATH,
     EFIGUARD_PATH,
     MOONBOUNCE_PAYLOAD_GUID,
     STYLE_MOV_JMP,
@@ -29,7 +31,7 @@ from uefiforensics.inline_hooks import (
     scan_prologue,
 )
 from uefiforensics.pointer_hooks import infer_baseline
-from uefiforensics.report import analyze_dump
+from uefiforensics.report import AnalysisOptions, analyze_dump
 from uefiforensics.service_tables import (
     ServiceEntry,
     ServiceTable,
@@ -404,3 +406,74 @@ def test_register_far_call_is_not_a_transfer(forged):
     report = analyze_dump(dump)
     assert report.inline_findings == []
     assert report.exit_code == 0
+
+
+def test_far_transfers_through_memory_are_indeterminate(forged):
+    # call/jmp far [rip+0x1A]: the slot at +0x20 is an m16:32 pointer
+    # (offset 0x2000, selector 0x38), not an 8-byte near target.
+    scenario = forged("clean")
+    function_addr = scenario.truth.tables["boot"].true_pointers["RaiseTPL"]
+    for modrm in (0x1D, 0x2D):
+        code = bytes([0xFF, modrm]) + struct.pack("<i", 0x1A) + b"\xC3"
+        code += bytes(0x20 - len(code)) + struct.pack("<IH", 0x2000, 0x38)
+        report = analyze_dump(patch_dump(scenario.dump, function_addr, code))
+        (finding,) = report.inline_findings
+        assert finding.hook_addr == function_addr
+        assert finding.indeterminate and finding.final_target is None
+        assert report.exit_code == 2
+
+
+LADDER = b"\x74\x00" * 16  # je +0: each targets the next instruction, in-image
+
+
+def record_sweeps(monkeypatch) -> list[int]:
+    """Addresses passed to scan_prologue, in call order."""
+    swept = []
+    scan = inline_hooks.scan_prologue
+
+    def recording(dump, addr, window=inline_hooks.DEFAULT_PROLOGUE_WINDOW):
+        swept.append(addr)
+        return scan(dump, addr, window)
+
+    monkeypatch.setattr(inline_hooks, "scan_prologue", recording)
+    return swept
+
+
+def raise_tpl_only(dump):
+    """The dump's boot table cut down to RaiseTPL, and the dump's image map."""
+    tables, _ = locate_tables(dump)
+    (boot,) = [t for t in tables if t.kind is TableKind.BOOT]
+    entries = tuple(e for e in boot.entries if e.name == "RaiseTPL")
+    return replace(boot, entries=entries), scan_loaded_images(dump)
+
+
+@pytest.mark.parametrize("max_depth", [3, 6])
+def test_ladder_sweeps_each_address_once(forged, monkeypatch, max_depth):
+    # Every je lands in-image on the next one, so an unmemoised walk sweeps
+    # the ladder once per path: 137 times at depth 3, 6,885 at depth 6.
+    scenario = forged("clean")
+    function_addr = scenario.truth.tables["boot"].true_pointers["RaiseTPL"]
+    dump = patch_dump(scenario.dump, function_addr, LADDER)
+    table, image_map = raise_tpl_only(dump)
+    swept = record_sweeps(monkeypatch)
+    assert detect_inline_hooks(dump, table, image_map, max_depth=max_depth) == []
+    assert len(swept) == 17  # the entry and the 16 je targets
+    swept.clear()
+    assert analyze_dump(dump, AnalysisOptions(max_depth=max_depth)).inline_findings == []
+    assert len(swept) == len(set(swept))
+
+
+@pytest.mark.parametrize("max_depth", [3, 6])
+def test_escape_behind_ladder_reported_once(forged, max_depth):
+    # The window ends at +32, so the jmp there is first swept from +2.
+    scenario = forged("clean")
+    function_addr = scenario.truth.tables["boot"].true_pointers["RaiseTPL"]
+    payload = scenario.truth.image_by_key(BOOTMGFW_PATH).base + 0x400
+    jmp_at = function_addr + len(LADDER)
+    code = LADDER + b"\xE9" + struct.pack("<i", payload - (jmp_at + 5))
+    dump = patch_dump(scenario.dump, function_addr, code)
+    table, image_map = raise_tpl_only(dump)
+    (finding,) = detect_inline_hooks(dump, table, image_map, max_depth=max_depth)
+    assert len(finding.chain) == 2
+    assert finding.hook_addr == function_addr
+    assert finding.chain[-1].at == jmp_at and finding.final_target == payload
