@@ -62,29 +62,28 @@ class Anomaly:
 class MemoryDump:
     """Immutable view of a raw physical memory dump.
 
-    Regions are sorted and non-overlapping. ``read_bytes`` assembles across
-    regions, filling gaps with zeros; any read past ``total_span`` raises
-    :class:`OutOfBoundsRead`. Instances are safe to share across threads.
+    The dump holds its file bytes once; each region maps a run of them to
+    physical addresses. Regions are sorted and non-overlapping.
+    ``read_bytes`` assembles across regions, filling gaps with zeros; any
+    read past ``total_span`` raises :class:`OutOfBoundsRead`. Instances are
+    safe to share across threads.
     """
 
-    def __init__(self, pieces, source_path: str = "<memory>"):
-        """``pieces``: iterable of (Region, bytes-like) pairs."""
-        items = sorted(pieces, key=lambda p: p[0].phys_start)
+    def __init__(self, data, regions, source_path: str = "<memory>"):
+        """``data``: the file bytes; ``regions``: Regions whose file ranges lie in it."""
+        self._data = bytes(data)
+        self._regions = tuple(sorted(regions, key=lambda r: r.phys_start))
+        if not self._regions:
+            raise DumpLoadError("dump has no regions")
         prev_end = 0
-        for region, buf in items:
+        for region in self._regions:
             if region.length <= 0:
                 raise DumpLoadError(f"region at {region.phys_start:#x} has non-positive length")
-            if len(buf) != region.length:
-                raise DumpLoadError(
-                    f"region at {region.phys_start:#x}: buffer length {len(buf)} != {region.length}"
-                )
+            if region.file_offset < 0 or region.file_offset + region.length > len(self._data):
+                raise DumpLoadError(f"region at {region.phys_start:#x} maps outside the file")
             if region.phys_start < prev_end:
                 raise DumpLoadError(f"regions overlap at {region.phys_start:#x}")
             prev_end = region.phys_end
-        if not items:
-            raise DumpLoadError("dump has no regions")
-        self._regions = tuple(r for r, _ in items)
-        self._buffers = tuple(bytes(b) for _, b in items)
         self._starts = [r.phys_start for r in self._regions]
         self.total_span: int = self._regions[-1].phys_end
         self.source_path = str(source_path)
@@ -95,12 +94,29 @@ class MemoryDump:
 
     @classmethod
     def from_regions(cls, pieces, source_path: str = "<memory>") -> "MemoryDump":
-        """Build a dump from (phys_start, bytes) pairs without touching disk."""
-        wrapped = [
-            (Region(phys_start=start, file_offset=0, length=len(buf)), buf)
-            for start, buf in pieces
+        """Build a dump from (phys_start, bytes) pairs without touching disk.
+
+        The pieces are laid end to end, in the order given, as the file.
+        """
+        pieces = list(pieces)
+        regions, offset = [], 0
+        for start, buf in pieces:
+            regions.append(Region(phys_start=start, file_offset=offset, length=len(buf)))
+            offset += len(buf)
+        return cls(b"".join(buf for _, buf in pieces), regions, source_path=source_path)
+
+    def save(self, dump_path, map_path) -> None:
+        """Write the file bytes and the region-map sidecar that ``load_dump`` reads."""
+        Path(dump_path).write_bytes(self._data)
+        records = [
+            {
+                "phys_start": f"0x{r.phys_start:x}",
+                "file_offset": f"0x{r.file_offset:x}",
+                "length": f"0x{r.length:x}",
+            }
+            for r in self._regions
         ]
-        return cls(wrapped, source_path=source_path)
+        Path(map_path).write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
 
     def read_bytes(self, addr: PhysAddr, length: int) -> bytes:
         """Read exactly ``length`` bytes at ``addr``; gap bytes are zero."""
@@ -115,9 +131,9 @@ class MemoryDump:
         if i >= 0:
             region = self._regions[i]
             # Fast path: read served entirely by one region.
-            if region.phys_start <= addr and end <= region.phys_end:
-                off = addr - region.phys_start
-                return self._buffers[i][off:off + length]
+            if end <= region.phys_end:
+                off = region.file_offset + addr - region.phys_start
+                return self._data[off:off + length]
         out = bytearray(length)
         j = max(i, 0)
         while j < len(self._regions) and self._regions[j].phys_start < end:
@@ -125,8 +141,8 @@ class MemoryDump:
             lo = max(addr, region.phys_start)
             hi = min(end, region.phys_end)
             if lo < hi:
-                src = lo - region.phys_start
-                out[lo - addr:hi - addr] = self._buffers[j][src:src + (hi - lo)]
+                src = region.file_offset + lo - region.phys_start
+                out[lo - addr:hi - addr] = self._data[src:src + (hi - lo)]
             j += 1
         return bytes(out)
 
@@ -155,28 +171,26 @@ class MemoryDump:
 
         pad = len(sig) - 1
         found: set[int] = set()
-        for region in self._regions:
-            lo = max(region.phys_start - pad, 0)
-            hi = min(region.phys_end + pad, self.total_span)
-            window = self.read_bytes(lo, hi - lo)
-            pos = window.find(sig)
-            while pos >= 0:
-                addr = lo + pos
-                # Claim only matches touching this region; gap-interior
-                # matches are handled below, once.
-                if addr % alignment == 0 and addr < region.phys_end and addr + len(sig) > region.phys_start:
-                    found.add(addr)
-                pos = window.find(sig, pos + 1)
-        if sig.count(0) == len(sig):
-            found.update(self._zero_sig_gap_hits(len(sig), alignment))
-        logger.debug("signature %r: %d hit(s)", sig, len(found))
-        return [SignatureHit(sig, addr) for addr in sorted(found)]
-
-    def _zero_sig_gap_hits(self, siglen: int, alignment: int):
         gap_start = 0
         for region in self._regions:
-            yield from _aligned_range(gap_start, region.phys_start, siglen, alignment)
+            # Matches inside the region, found where its bytes lie in the file.
+            shift = region.phys_start - region.file_offset
+            found.update(pos + shift for pos in _find_all(
+                self._data, sig, region.file_offset, region.file_offset + region.length))
+            # Matches crossing an edge of the region lie in the pad bytes
+            # either side of it, reassembled with whatever borders it.
+            for edge in (region.phys_start, region.phys_end):
+                lo, hi = max(edge - pad, 0), min(edge + pad, self.total_span)
+                if hi - lo > pad:
+                    found.update(lo + pos for pos in _find_all(self.read_bytes(lo, hi - lo), sig))
+            # An all-zero signature also matches wholly inside the gap before.
+            if not any(sig):
+                first = -(-gap_start // alignment) * alignment
+                found.update(range(first, region.phys_start - pad, alignment))
             gap_start = region.phys_end
+        hits = sorted(addr for addr in found if addr % alignment == 0)
+        logger.debug("signature %r: %d hit(s)", sig, len(hits))
+        return [SignatureHit(sig, addr) for addr in hits]
 
     def __repr__(self) -> str:
         return (
@@ -185,12 +199,11 @@ class MemoryDump:
         )
 
 
-def _aligned_range(lo: int, hi: int, siglen: int, alignment: int):
-    first = -(-lo // alignment) * alignment
-    addr = first
-    while addr + siglen <= hi:
-        yield addr
-        addr += alignment
+def _find_all(buf: bytes, sig: bytes, start: int = 0, end: int | None = None):
+    pos = buf.find(sig, start, end)
+    while pos >= 0:
+        yield pos
+        pos = buf.find(sig, pos + 1, end)
 
 
 def _parse_map_field(obj: dict, key: str) -> int:
@@ -198,7 +211,7 @@ def _parse_map_field(obj: dict, key: str) -> int:
         raw = obj[key]
     except KeyError:
         raise DumpLoadError(f"sidecar record missing field {key!r}") from None
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         value = raw
     elif isinstance(raw, str):
         try:
@@ -212,36 +225,23 @@ def _parse_map_field(obj: dict, key: str) -> int:
     return value
 
 
-def _load_sidecar(map_path: Path, file_size: int) -> list[Region]:
+def _load_sidecar(map_path: Path) -> list[Region]:
     try:
         records = json.loads(map_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DumpLoadError(f"cannot parse sidecar {map_path}: {exc}") from exc
     if not isinstance(records, list) or not records:
         raise DumpLoadError(f"sidecar {map_path} must be a non-empty JSON array")
-    regions = []
-    for obj in records:
-        if not isinstance(obj, dict):
-            raise DumpLoadError(f"sidecar {map_path}: records must be objects")
-        region = Region(
+    if not all(isinstance(obj, dict) for obj in records):
+        raise DumpLoadError(f"sidecar {map_path}: records must be objects")
+    return [
+        Region(
             phys_start=_parse_map_field(obj, "phys_start"),
             file_offset=_parse_map_field(obj, "file_offset"),
             length=_parse_map_field(obj, "length"),
         )
-        if region.length == 0:
-            raise DumpLoadError(f"sidecar {map_path}: zero-length region at {region.phys_start:#x}")
-        if region.file_offset + region.length > file_size:
-            raise DumpLoadError(
-                f"sidecar {map_path}: region at {region.phys_start:#x} maps past end of file"
-            )
-        regions.append(region)
-    regions.sort(key=lambda r: r.phys_start)
-    for prev, cur in zip(regions, regions[1:]):
-        if cur.phys_start < prev.phys_end:
-            raise DumpLoadError(
-                f"sidecar {map_path}: regions at {prev.phys_start:#x} and {cur.phys_start:#x} overlap"
-            )
-    return regions
+        for obj in records
+    ]
 
 
 def load_dump(path, map_path=None) -> MemoryDump:
@@ -272,8 +272,9 @@ def load_dump(path, map_path=None) -> MemoryDump:
     if map_path is None:
         regions = [Region(phys_start=0, file_offset=0, length=len(data))]
     else:
-        regions = _load_sidecar(map_path, len(data))
+        regions = _load_sidecar(map_path)
         logger.info("loaded sidecar %s (%d regions)", map_path, len(regions))
-
-    pieces = [(r, data[r.file_offset:r.file_offset + r.length]) for r in regions]
-    return MemoryDump(pieces, source_path=str(path))
+    try:
+        return MemoryDump(data, regions, source_path=str(path))
+    except DumpLoadError as exc:
+        raise DumpLoadError(f"sidecar {map_path}: {exc}") from None

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
 
-from .dump_model import MemoryDump
+from .dump_model import MemoryDump, Region
 from .image_registry import LDRI_RECORD, LDRI_RECORD_LEN, LDRI_SIGNATURE
 from .inline_hooks import DEFAULT_MAX_DEPTH
 from .service_tables import (
@@ -583,12 +583,11 @@ class _PlacedImage:
 class ForgedScenario:
     """A built scenario: in-memory dump, ground truth, and file emission."""
 
-    def __init__(self, spec: ScenarioSpec, seed: int, regions, truth: GroundTruth):
+    def __init__(self, spec: ScenarioSpec, seed: int, dump: MemoryDump, truth: GroundTruth):
         self.spec = spec
         self.seed = seed
-        self._regions = regions  # list of (phys_start, bytes)
+        self.dump = dump
         self.truth = truth
-        self.dump = MemoryDump.from_regions(regions, source_path=f"<forged:{spec.name}>")
 
     def write(self, out_dir) -> dict[str, Path]:
         """Emit ``<name>.dump``, ``<name>.map.json``, ``<name>.truth.json``."""
@@ -598,25 +597,11 @@ class ForgedScenario:
         dump_path = out_dir / f"{name}.dump"
         map_path = out_dir / f"{name}.map.json"
         truth_path = out_dir / f"{name}.truth.json"
-
-        records = []
-        offset = 0
-        with dump_path.open("wb") as fh:
-            for phys_start, buf in self._regions:
-                fh.write(buf)
-                records.append(
-                    {
-                        "phys_start": f"0x{phys_start:x}",
-                        "file_offset": f"0x{offset:x}",
-                        "length": f"0x{len(buf):x}",
-                    }
-                )
-                offset += len(buf)
-        map_path.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
+        self.dump.save(dump_path, map_path)
         truth_path.write_text(
             json.dumps(self.truth.to_json_dict(), indent=2) + "\n", encoding="utf-8"
         )
-        logger.info("forged scenario %r -> %s (%d bytes)", name, dump_path, offset)
+        logger.info("forged scenario %r -> %s", name, dump_path)
         return {"dump": dump_path, "map": map_path, "truth": truth_path}
 
 
@@ -812,29 +797,29 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
         for t in image_truths
     ]
 
-    # --- assemble physical regions -----------------------------------------
-    low = bytearray(geom.low_region_len)
-    low[0x10:0x18] = b"LOWMEM\x00\x00"
-
-    pieces = [(p.base, bytes(p.buf)) for p in placed.values()]
+    # --- assemble the file: the low region, then the high region ----------
+    pieces = [(p.base, p.buf) for p in placed.values()]
     pieces += [
-        (geom.table_base + pos * geom.table_stride, bytes(table_bufs[kind]))
+        (geom.table_base + pos * geom.table_stride, table_bufs[kind])
         for pos, kind in enumerate(KIND_ORDER)
     ]
-    pieces.append((geom.ldri_base, bytes(ldri_area)))
+    pieces.append((geom.ldri_base, ldri_area))
 
     lo, hi = allocations.span
     region_start = (lo // geom.region_align) * geom.region_align
-    region_end = -(-hi // geom.region_align) * geom.region_align
+    total_span = -(-hi // geom.region_align) * geom.region_align
     if region_start < geom.low_region_len:
         raise ForgeError("allocations collide with the low memory region")
-    high = bytearray(region_end - region_start)
+    regions = [
+        Region(0, 0, geom.low_region_len),
+        Region(region_start, geom.low_region_len, total_span - region_start),
+    ]
+    file_bytes = bytearray(geom.low_region_len + total_span - region_start)
+    file_bytes[0x10:0x18] = b"LOWMEM\x00\x00"
     for start, data in pieces:
-        off = start - region_start
-        high[off:off + len(data)] = data
-
-    regions = [(0, bytes(low)), (region_start, bytes(high))]
-    total_span = region_end
+        off = start - region_start + geom.low_region_len
+        file_bytes[off:off + len(data)] = data
+    dump = MemoryDump(file_bytes, regions, source_path=f"<forged:{spec.name}>")
 
     truth = GroundTruth(
         scenario=spec.name,
@@ -849,7 +834,7 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
         null_services=tuple((k.value, s) for k, s in spec.null_services),
         stub_listings=stub_listings,
     )
-    return ForgedScenario(spec, seed, regions, truth)
+    return ForgedScenario(spec, seed, dump, truth)
 
 
 def _write_stub(core: _PlacedImage, offset: int, rng: Random, hook_info) -> tuple[list, InlineHookTruth | None]:

@@ -43,6 +43,16 @@ def test_analyze_missing_file_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_deeply_nested_sidecar_exit_1(tmp_path, capsys):
+    # json.loads raises RecursionError, not ValueError, on deep nesting.
+    blob = tmp_path / "nested.dump"
+    blob.write_bytes(bytes(0x100))
+    (tmp_path / "nested.map.json").write_text("[" * 100000)
+    rc = main(["analyze", str(blob)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_analyze_json_report(fixture_dir, tmp_path, capsys):
     out_json = tmp_path / "report.json"
     rc = main(["analyze", str(fixture_dir / "efiguard.dump"), "--json", str(out_json)])

@@ -1,6 +1,8 @@
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uefiforensics.dump_model import (
     DumpLoadError,
@@ -109,6 +111,98 @@ def test_sidecar_region_past_eof_rejected(tmp_path):
     path, map_path = write_dump(tmp_path, bytes(0x100), regions)
     with pytest.raises(DumpLoadError):
         load_dump(path, map_path)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_sidecar_bool_field_rejected(tmp_path, value):
+    # bool is an int subclass; JSON true must not read as 1.
+    regions = [
+        {"phys_start": 0, "file_offset": 0, "length": 0x10},
+        {"phys_start": 0x100, "file_offset": value, "length": 0x10},
+    ]
+    path, map_path = write_dump(tmp_path, bytes(0x20), regions)
+    with pytest.raises(DumpLoadError):
+        load_dump(path, map_path)
+
+
+SIDECAR_FILE_SIZE = 0x200
+VALID_SIDECAR = (
+    {"phys_start": 0x0, "file_offset": 0x0, "length": 0x100},
+    {"phys_start": 0x300, "file_offset": 0x100, "length": 0x100},
+)
+FIELDS = ("phys_start", "file_offset", "length")
+DROP = object()
+
+
+@st.composite
+def sidecar_mutation(draw):
+    """(record index, field, new value or DROP): one mutation of VALID_SIDECAR."""
+    index = draw(st.sampled_from([0, 1]))
+    record, other = VALID_SIDECAR[index], VALID_SIDECAR[1 - index]
+    room = SIDECAR_FILE_SIZE - record["file_offset"] - record["length"]
+    field = draw(st.sampled_from(FIELDS))
+    negative = st.integers(max_value=-1)
+    mutations = {
+        "drop": (field, st.just(DROP)),
+        "negative": (field, negative | negative.map(hex)),
+        "zero length": ("length", st.sampled_from([0, "0", "0x0"])),
+        "overlap": ("phys_start", st.integers(
+            max(other["phys_start"] - record["length"] + 1, 0),
+            other["phys_start"] + other["length"] - 1)),
+        "offset past EOF": ("file_offset", st.integers(record["file_offset"] + room + 1, 1 << 40)),
+        "length past EOF": ("length", st.integers(record["length"] + room + 1, 1 << 40)),
+        "bool": (field, st.booleans()),
+        "float": (field, st.floats()),
+        "non-numeric string": (field, st.text(alphabet="xyz_-+. e", max_size=6)),
+        "nested": (field, st.lists(st.integers(0, 0x100), max_size=2)
+                   | st.dictionaries(st.just(field), st.integers(0, 0x100), max_size=1)),
+    }
+    field, values = mutations[draw(st.sampled_from(sorted(mutations)))]
+    return index, field, draw(values)
+
+
+@given(st.lists(sidecar_mutation(), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_mutated_sidecar_loads_or_raises_dump_load_error(tmp_path_factory, mutations):
+    records = [dict(r) for r in VALID_SIDECAR]
+    for index, field, value in mutations:
+        if value is DROP:
+            records[index].pop(field, None)
+        else:
+            records[index][field] = value
+    tmp_path = tmp_path_factory.mktemp("sidecar")
+    path, map_path = write_dump(tmp_path, bytes(SIDECAR_FILE_SIZE), records)
+    try:
+        dump = load_dump(path, map_path)
+    except DumpLoadError:
+        return
+    prev_end = 0
+    for region in dump.regions:
+        assert region.length > 0 and region.phys_start >= prev_end
+        assert 0 <= region.file_offset and region.file_offset + region.length <= SIDECAR_FILE_SIZE
+        prev_end = region.phys_end
+
+
+def test_load_and_scan_do_not_copy_the_file(tmp_path):
+    size = 16 << 20
+    half = size // 2
+    regions = [
+        {"phys_start": 0, "file_offset": 0, "length": half},
+        {"phys_start": 0x2000000, "file_offset": half, "length": half},
+    ]
+    path, map_path = write_dump(tmp_path, bytes(size), regions)
+    tracemalloc.start()
+    try:
+        dump = load_dump(path, map_path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert dump.find_signature(b"BOOTSERV") == []
+        scan_alloc = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert load_peak < 1.25 * size
+    assert scan_alloc < 1 << 20
 
 
 def test_find_signature_single_hit():

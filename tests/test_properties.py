@@ -1,10 +1,12 @@
 """Property-based checks of the structural laws the parsers rely on."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from uefiforensics.dump_model import MemoryDump
+from uefiforensics.dump_model import MemoryDump, load_dump
 from uefiforensics.inline_hooks import TransferKind, decode_instruction
 from uefiforensics.service_tables import crc32_ieee
 
@@ -63,6 +65,12 @@ def test_read_bytes_equals_manual_reassembly(pieces):
         flat[start:start + len(data)] = data
         cursor = start + len(data)
     assert dump.read_bytes(0, span) == bytes(flat)
+    # The sidecar writer and reader round-trip the same dump.
+    with tempfile.TemporaryDirectory() as tmp:
+        dump.save(Path(tmp) / "d.dump", Path(tmp) / "d.map.json")
+        loaded = load_dump(Path(tmp) / "d.dump", Path(tmp) / "d.map.json")
+    assert loaded.regions == dump.regions
+    assert loaded.read_bytes(0, span) == bytes(flat)
 
 
 @given(

@@ -4,7 +4,9 @@ A refactor must leave the analyzer's output byte-identical. For each
 builtin scenario at seed 0 this holds the SHA-256 of the report JSON
 (``meta`` removed, ``indent=2``) and of the text report. A digest that
 changes means the reports changed; update it only for an intended change
-of report content, and say why where the change is recorded.
+of report content, and say why where the change is recorded. The forged
+files (dump, sidecar and truth manifest) are pinned the same way, so a
+change to the forge or the sidecar writer shows up here too.
 """
 
 import hashlib
@@ -59,13 +61,68 @@ REPORT_DIGESTS = {
     ),
 }
 
+# scenario -> (.dump, .map.json, .truth.json) digests of ForgedScenario.write
+FILE_DIGESTS = {
+    "clean": (
+        "09b5b571e12d6092115eb054d8b07b7f7b7c00049a2f456f61178cf03224d87a",
+        "1b6b8026f302d3d510219bed164f49c3005239ab0dbe91416ba1e4d0d19f98a6",
+        "d0e2c489115d4447993654b9a84338797a240441f7eec6ce3d1be4c38c86cedd",
+    ),
+    "efiguard": (
+        "ee7c4ca4c0f562eba59abb4a1b6487a520f867e7f3be87555bff50378733583e",
+        "1b6b8026f302d3d510219bed164f49c3005239ab0dbe91416ba1e4d0d19f98a6",
+        "578817ed00a67c31b73d9e3cfe4b828d6c1d1c8ff5efe7b5b3bc29453cde57ca",
+    ),
+    "glupteba": (
+        "83be826b1c794ef77cde669c0f58dffde5759caa6ac3be9fff9b0d708baec4c2",
+        "1b6b8026f302d3d510219bed164f49c3005239ab0dbe91416ba1e4d0d19f98a6",
+        "c440e197e8266cea1cccd29fe6595ee91e4cf1d2d6416c48f91f1b2c5d5c6a98",
+    ),
+    "cosmicstrand": (
+        "410cc5ab6af521904b28aba5baab3882f84212afd7333eb54215fd4ac2e513be",
+        "f537e0259cda5c7495114ca9d28a9ad06a00f2a656b22170091ab21cf6f556da",
+        "a9fbbc3062e65c746dc4a24ced1490e51c259936c091d2b12014780fde1c5ba6",
+    ),
+    "thunderstrike": (
+        "648bd1d229c71f5d077fa9f8d9a0e6c5f13361e1909ef4048624b7923a941772",
+        "fa897ba2f26a4076a6612aca410a9ba50b6f18c40a5287beac4c693d45bc5351",
+        "bb7272c5a9c88df01e05b265e3c7d0b2af9b97d6ffde11e0f4f6665b8174315b",
+    ),
+    "moonbounce": (
+        "e57a4cd9c61757083a6d0a93719de30ec4d8f83df549c65e85fe6f04caf4cd5f",
+        "8d22a758ad2edcee781f8be1d50a9e1c57ca77fb6ce9f1d8e4417dce683052c8",
+        "7febba5f27f6bd2161f78f2b8a8466d402bc159329ce97f27c5f5323dee4763f",
+    ),
+    "crc-recalc": (
+        "bef4a96e43ec4aec97c242677b4021e1d9c23e74b15ccd9233a1ef740dcdf055",
+        "f537e0259cda5c7495114ca9d28a9ad06a00f2a656b22170091ab21cf6f556da",
+        "719fdc4ff0640d081161b2fe6ce2e739948d30670d213264b7f2810455e067c6",
+    ),
+    "nested-3": (
+        "122fcac7eab6bf6f89b74471402b5976783575614b8703a722ea7ac6b8f193ae",
+        "f537e0259cda5c7495114ca9d28a9ad06a00f2a656b22170091ab21cf6f556da",
+        "4335488a40a265e9183a38d4a325e564cb069541c7d04d81080eca1217cb9583",
+    ),
+    "nested-4": (
+        "f9fd4df31758e890674dc7560c8eca59fcfb26bc11694e71704d6a1f788d4422",
+        "f537e0259cda5c7495114ca9d28a9ad06a00f2a656b22170091ab21cf6f556da",
+        "ba322cd2b3e55bc570dd88bc28ad33890a7c8cdbe1a66fc890165733b037db4e",
+    ),
+    "decoy-heavy": (
+        "ecfa911f74f7c6e77ead898e01028ec1cfefbd5f6b284795a8036708e45e2c69",
+        "1b6b8026f302d3d510219bed164f49c3005239ab0dbe91416ba1e4d0d19f98a6",
+        "f42ba5a0c737bc097ee8251ef88f03849ad779d80994a16f0dcc68894983294b",
+    ),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_digests_cover_every_builtin():
-    assert sorted(REPORT_DIGESTS) == sorted(spec.name for spec in builtin_scenarios())
+    names = sorted(spec.name for spec in builtin_scenarios())
+    assert sorted(REPORT_DIGESTS) == sorted(FILE_DIGESTS) == names
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
@@ -75,3 +132,13 @@ def test_report_bytes_unchanged(forged, name):
     doc.pop("meta")  # generated_at is the one field allowed to vary
     assert (_sha256(json.dumps(doc, indent=2)), _sha256(render_text(report))) == \
         REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FILE_DIGESTS))
+def test_forged_files_unchanged(forged, tmp_path, name):
+    paths = forged(name).write(tmp_path)
+    digests = [hashlib.sha256(paths[kind].read_bytes()).hexdigest()
+               for kind in ("dump", "map", "truth")]
+    for path in paths.values():
+        path.unlink()  # the dumps are megabytes each
+    assert tuple(digests) == FILE_DIGESTS[name]
