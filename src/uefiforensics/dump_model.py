@@ -22,6 +22,10 @@ PhysAddr = int
 
 SIGNATURE_LENGTHS = (4, 8)
 
+# Longest zero run ``MemoryDump.iter_range`` yields for a gap.
+ZERO_RUN = 1 << 20
+_ZEROS = bytes(ZERO_RUN)
+
 
 class DumpLoadError(Exception):
     """Dump file or region sidecar could not be loaded."""
@@ -64,14 +68,16 @@ class MemoryDump:
 
     The dump holds its file bytes once; each region maps a run of them to
     physical addresses. Regions are sorted and non-overlapping.
-    ``read_bytes`` assembles across regions, filling gaps with zeros; any
-    read past ``total_span`` raises :class:`OutOfBoundsRead`. Instances are
-    safe to share across threads.
+    ``read_bytes`` assembles across regions, filling gaps with zeros, and
+    ``iter_range`` yields the same bytes as file-buffer views and zero runs,
+    without copying; any read past ``total_span`` raises
+    :class:`OutOfBoundsRead`. Instances are safe to share across threads.
     """
 
     def __init__(self, data, regions, source_path: str = "<memory>"):
         """``data``: the file bytes; ``regions``: Regions whose file ranges lie in it."""
         self._data = bytes(data)
+        self._view = memoryview(self._data)
         self._regions = tuple(sorted(regions, key=lambda r: r.phys_start))
         if not self._regions:
             raise DumpLoadError("dump has no regions")
@@ -120,12 +126,7 @@ class MemoryDump:
 
     def read_bytes(self, addr: PhysAddr, length: int) -> bytes:
         """Read exactly ``length`` bytes at ``addr``; gap bytes are zero."""
-        if length <= 0:
-            raise ValueError("read length must be positive")
-        if addr < 0 or addr + length > self.total_span:
-            raise OutOfBoundsRead(
-                f"read [{addr:#x}, {addr + length:#x}) outside span {self.total_span:#x}"
-            )
+        self._check_read(addr, length)
         end = addr + length
         i = bisect_right(self._starts, addr) - 1
         if i >= 0:
@@ -134,17 +135,41 @@ class MemoryDump:
             if end <= region.phys_end:
                 off = region.file_offset + addr - region.phys_start
                 return self._data[off:off + length]
-        out = bytearray(length)
-        j = max(i, 0)
-        while j < len(self._regions) and self._regions[j].phys_start < end:
-            region = self._regions[j]
-            lo = max(addr, region.phys_start)
+        return b"".join(self._walk(addr, end))
+
+    def iter_range(self, addr: PhysAddr, length: int):
+        """Yield ``[addr, addr + length)`` in physical order, without copying.
+
+        Region bytes come as ``memoryview`` slices of the file buffer, gap
+        bytes as zero ``bytes`` runs of at most ``ZERO_RUN`` bytes; joined,
+        the chunks equal ``read_bytes(addr, length)``. The range is checked
+        before this returns, with the errors ``read_bytes`` raises.
+        """
+        self._check_read(addr, length)
+        return self._walk(addr, addr + length)
+
+    def _check_read(self, addr: PhysAddr, length: int) -> None:
+        if length <= 0:
+            raise ValueError("read length must be positive")
+        if addr < 0 or addr + length > self.total_span:
+            raise OutOfBoundsRead(
+                f"read [{addr:#x}, {addr + length:#x}) outside span {self.total_span:#x}"
+            )
+
+    def _walk(self, pos: PhysAddr, end: PhysAddr):
+        for region in self._regions[max(bisect_right(self._starts, pos) - 1, 0):]:
+            if pos >= end:
+                break
+            gap_end = min(region.phys_start, end)
+            while pos < gap_end:
+                run = _ZEROS[:gap_end - pos]
+                yield run
+                pos += len(run)
             hi = min(end, region.phys_end)
-            if lo < hi:
-                src = region.file_offset + lo - region.phys_start
-                out[lo - addr:hi - addr] = self._data[src:src + (hi - lo)]
-            j += 1
-        return bytes(out)
+            if pos < hi:
+                off = region.file_offset + pos - region.phys_start
+                yield self._view[off:off + hi - pos]
+                pos = hi
 
     def read_u64(self, addr: PhysAddr) -> int:
         return struct.unpack("<Q", self.read_bytes(addr, 8))[0]

@@ -101,7 +101,8 @@ def content_sha256(dump: MemoryDump) -> str:
     """Digest of the mapped region contents in physical order."""
     h = hashlib.sha256()
     for region in dump.regions:
-        h.update(dump.read_bytes(region.phys_start, region.length))
+        for chunk in dump.iter_range(region.phys_start, region.length):
+            h.update(chunk)
     return h.hexdigest()
 
 

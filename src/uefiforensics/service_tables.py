@@ -133,6 +133,11 @@ _LAYOUTS = {
     TableKind.DXE: DXE_SERVICES,
 }
 
+_KIND_BY_SIGNATURE = {sig: kind for kind, sig in _SIGNATURES.items()}
+# Every table signature ends in this suffix, so one scan for it finds all three.
+_SUFFIX = b"SERV"
+_PREFIX_LEN = len(BOOT_SIGNATURE) - len(_SUFFIX)
+
 # Fixed presentation/sort order for reports.
 KIND_ORDER = (TableKind.BOOT, TableKind.RUNTIME, TableKind.DXE)
 
@@ -233,12 +238,22 @@ def parse_table(dump: MemoryDump, kind: TableKind, addr: PhysAddr) -> ServiceTab
 def find_table_candidates(
     dump: MemoryDump, alignment: int | None = None
 ) -> list[tuple[TableKind, PhysAddr]]:
-    """Signature-scan for table candidates, in (kind, address) order, unvalidated."""
-    return [
-        (kind, hit.addr)
-        for kind in KIND_ORDER
-        for hit in dump.find_signature(kind.signature, alignment)
-    ]
+    """Signature-scan for table candidates, in (kind, address) order, unvalidated.
+
+    One scan for ``SERV`` finds all three kinds: a hit is a candidate when
+    the 8 bytes starting 4 before it are a table signature, at the address
+    alignment a scan for that signature would use (8 by default).
+    """
+    if alignment is None:
+        alignment = len(BOOT_SIGNATURE)
+    candidates = []
+    for hit in dump.find_signature(_SUFFIX, min(alignment, len(_SUFFIX))):
+        addr = hit.addr - _PREFIX_LEN
+        if addr >= 0 and addr % alignment == 0:
+            kind = _KIND_BY_SIGNATURE.get(dump.read_bytes(addr, len(BOOT_SIGNATURE)))
+            if kind is not None:
+                candidates.append((kind, addr))
+    return sorted(candidates, key=lambda c: (KIND_ORDER.index(c[0]), c[1]))
 
 
 def locate_tables(

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
-from uefiforensics.carver import MANIFEST_NAME, carve_images, validate_pe
+import pytest
+
+from uefiforensics.carver import MANIFEST_NAME, PE_SIGNATURE, carve_images, validate_pe
 from uefiforensics.dump_model import MemoryDump
 from uefiforensics.forge import build_minimal_pe, build_scenario, scenario_by_name
 from uefiforensics.image_registry import (
@@ -85,6 +88,51 @@ def test_record_without_mz_carved_but_flagged(tmp_path):
     assert carved[0].machine == 0
     assert (tmp_path / carved[0].output_name).read_bytes() == bytes(buf[0x1000:0x1800])
     assert any(a.kind == "carved_image_invalid_pe" for a in anomalies)
+
+
+def test_size_mismatch_with_pe_header_flagged(tmp_path):
+    pe = bytes(build_minimal_pe(0x1000))  # SizeOfImage 0x1000
+    buf = bytearray(0x4000)
+    buf[0x1000:0x1000 + len(pe)] = pe
+    records = [
+        LoadedImageRecord(0, 0x1000, 0x2000, ImageIdentity(file_path="\\long.efi")),
+        LoadedImageRecord(1, 0x1000, 0x1000, ImageIdentity(file_path="\\exact.efi")),
+    ]
+    dump = MemoryDump.from_regions([(0, bytes(buf))])
+    carved, anomalies = carve_images(dump, ImageMap(records), tmp_path)
+    assert [(a.kind, a.addr) for a in anomalies] == [("carved_image_size_mismatch", 0x1000)]
+    assert "0x2000" in anomalies[0].detail and "0x1000" in anomalies[0].detail
+    # The record decides what is carved, not the header.
+    sizes = {c.output_name: (tmp_path / c.output_name).stat().st_size for c in carved}
+    assert sizes == {"long.efi": 0x2000, "exact.efi": 0x1000}
+
+
+@pytest.mark.parametrize("pe_header_at_end", [False, True])
+def test_oversized_record_carved_in_bounded_memory(tmp_path, pe_header_at_end):
+    # A 64 MiB record over an 8 KiB file: all but two pages are gap.
+    size = 64 << 20
+    head = bytearray(build_minimal_pe(0x1000))
+    tail = bytearray(b"\xCC" * 0x1000)
+    if pe_header_at_end:
+        # e_lfanew at the last six bytes: validation must read only those.
+        struct.pack_into("<I", head, 0x3C, size - 6)
+        tail[-6:] = PE_SIGNATURE + struct.pack("<H", 0x8664)
+    dump = MemoryDump.from_regions([(0, bytes(head)), (size - 0x1000, bytes(tail))])
+    record = LoadedImageRecord(0, 0, size, ImageIdentity(file_path="\\big.efi"))
+    tracemalloc.start()
+    try:
+        carved, anomalies = carve_images(dump, ImageMap([record]), tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert carved[0].pe_valid and carved[0].machine == 0x8664
+    expected = hashlib.sha256(dump.read_bytes(0, size)).hexdigest()
+    assert carved[0].sha256 == expected
+    assert hashlib.sha256((tmp_path / "big.efi").read_bytes()).hexdigest() == expected
+    # SizeOfImage lies past the image when the PE header is its last bytes.
+    kinds = [a.kind for a in anomalies]
+    assert kinds == ([] if pe_header_at_end else ["carved_image_size_mismatch"])
 
 
 def test_orphan_mz_blob_not_carved(tmp_path, forged):

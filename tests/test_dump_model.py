@@ -1,16 +1,20 @@
+import hashlib
 import json
 import tracemalloc
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uefiforensics.dump_model import (
+    ZERO_RUN,
     DumpLoadError,
     MemoryDump,
     OutOfBoundsRead,
     Region,
     load_dump,
 )
+from uefiforensics.report import content_sha256
 
 from helpers import brute_force_find, reassemble_dump_file
 
@@ -203,6 +207,40 @@ def test_load_and_scan_do_not_copy_the_file(tmp_path):
         tracemalloc.stop()
     assert load_peak < 1.25 * size
     assert scan_alloc < 1 << 20
+
+
+def test_content_hash_does_not_copy_regions():
+    half = 8 << 20
+    rng = Random(6)
+    low, high = rng.randbytes(half), rng.randbytes(half)
+    dump = MemoryDump.from_regions([(0, low), (0x2000000, high)])
+    tracemalloc.start()
+    try:
+        digest = content_sha256(dump)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert digest == hashlib.sha256(low + high).hexdigest()
+
+
+def test_iter_range_joins_to_read_bytes():
+    half = 8 << 20
+    dump = MemoryDump.from_regions([(0x2000000, b"\xBB" * half), (0x100000, b"\xAA" * half)])
+    rng = Random(7)
+    for _ in range(20):
+        # Windows start in or before the low region and end in the high one,
+        # so each crosses the 24 MiB gap between them.
+        addr = rng.randrange(0, 0x100000 + half)
+        end = rng.randrange(0x2000000, dump.total_span) + 1
+        chunks = list(dump.iter_range(addr, end - addr))
+        assert b"".join(chunks) == dump.read_bytes(addr, end - addr)
+        assert all(len(c) <= ZERO_RUN for c in chunks if isinstance(c, bytes))
+        assert sum(isinstance(c, memoryview) for c in chunks) == 2
+    with pytest.raises(OutOfBoundsRead):
+        dump.iter_range(dump.total_span - 1, 2)
+    with pytest.raises(ValueError):
+        dump.iter_range(0, 0)
 
 
 def test_find_signature_single_hit():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from uefiforensics.dump_model import MemoryDump, load_dump
 from uefiforensics.inline_hooks import TransferKind, decode_instruction
-from uefiforensics.service_tables import crc32_ieee
+from uefiforensics.service_tables import KIND_ORDER, crc32_ieee, find_table_candidates
 
 from helpers import brute_force_find, crc32_reference, sext
 
@@ -96,6 +96,41 @@ def test_gap_reads_are_zero(pieces, addr, length):
     data = dump.read_bytes(addr, length)
     flat = dump.read_bytes(0, span)
     assert data == flat[addr:addr + length]
+
+
+@st.composite
+def planted_table_dumps(draw):
+    """A sparse dump cut from a buffer with table signatures and ``SERV`` decoys.
+
+    The buffer is cut into runs at random points and some runs are left
+    unmapped, so planted strings cross region edges or lose bytes to gaps;
+    the runs are laid in the file in random order.
+    """
+    size = draw(st.integers(16, 0x200))
+    flat = bytearray(draw(st.binary(min_size=size, max_size=size)))
+    token = st.sampled_from([k.signature for k in KIND_ORDER]) | st.binary(
+        min_size=4, max_size=4).map(lambda prefix: prefix + b"SERV")
+    offset = st.integers(0, size - 8) | st.integers(0, (size - 8) // 8).map(lambda i: 8 * i)
+    for sig, at in draw(st.lists(st.tuples(token, offset), max_size=12)):
+        flat[at:at + 8] = sig
+    cuts = sorted(set(draw(st.lists(st.integers(1, size - 1), max_size=6))))
+    bounds = [0, *cuts, size]
+    runs = [(lo, bytes(flat[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    mapped = draw(st.lists(st.booleans(), min_size=len(runs), max_size=len(runs)))
+    kept = [run for run, keep in zip(runs, mapped) if keep] or runs[:1]
+    return MemoryDump.from_regions(draw(st.permutations(kept)))
+
+
+@given(planted_table_dumps())
+@settings(max_examples=200)
+def test_one_suffix_scan_equals_per_kind_scans(dump):
+    for alignment in (None, 1, 2, 4, 8):
+        per_kind = [
+            (kind, hit.addr)
+            for kind in KIND_ORDER
+            for hit in dump.find_signature(kind.signature, alignment)
+        ]
+        assert find_table_candidates(dump, alignment) == per_kind
 
 
 # --- relative-target law ----------------------------------------------------
