@@ -22,11 +22,13 @@ import json
 import logging
 import struct
 import uuid
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
-from .dump_model import MemoryDump, Region
+from .dump_model import MemoryDump
 from .image_registry import LDRI_RECORD, LDRI_RECORD_LEN, LDRI_SIGNATURE
 from .inline_hooks import DEFAULT_MAX_DEPTH
 from .service_tables import (
@@ -112,6 +114,11 @@ LDRI_CELL_SIZE = 128
 _LDRI_GUID_OFFSET = LDRI_RECORD_LEN          # +40
 _LDRI_PATH_OFFSET = LDRI_RECORD_LEN + 16     # +56
 MAX_IDENTITY_PATH_CHARS = (LDRI_CELL_SIZE - _LDRI_PATH_OFFSET - 2) // 2
+
+# Sorted allocations, each rounded out to ``Geometry.region_align``, share
+# one file region while the gap to the one before is under this; one
+# farther away (a pinned base, say) starts a region of its own.
+MAX_REGION_GAP = 0x400_0000
 
 
 @dataclass(frozen=True)
@@ -364,7 +371,13 @@ def build_minimal_pe(
     if size < MIN_PE_SIZE:
         raise ForgeError(f"PE image size {size} below minimum {MIN_PE_SIZE}")
     buf = bytearray(size)
+    _write_pe(buf, machine, subsystem, image_base, label)
+    return buf
 
+
+def _write_pe(buf, machine: int, subsystem: int, image_base: int, label: str) -> None:
+    """Write the PE32+ headers and label of a ``len(buf)``-byte image into zeroed ``buf``."""
+    size = len(buf)
     e_lfanew = 0x80
     buf[0:2] = b"MZ"
     struct.pack_into("<I", buf, 0x3C, e_lfanew)
@@ -414,7 +427,6 @@ def build_minimal_pe(
 
     marker = b"IMG:" + label.encode("utf-8")[:200]
     buf[0x300:0x300 + len(marker)] = marker
-    return buf
 
 
 # Benign instruction pool for stub bodies: (encoding, length).
@@ -457,13 +469,24 @@ def _rel32(at: int, length: int, target: int) -> bytes:
     return struct.pack("<i", disp)
 
 
-class _Allocations:
-    """Tracks placed [start, end) extents and rejects collisions."""
+class _Layout:
+    """The physical placement of one scenario, then its bytes.
 
-    def __init__(self):
+    ``place`` records each allocation and rejects collisions. ``build``
+    groups the allocations into regions (see ``MAX_REGION_GAP``) after the
+    low region ``[0, low_region_len)`` and gives every region one zeroed
+    buffer.
+    From then on every pass writes by physical address, inside what it
+    placed, and ``regions`` feeds :meth:`MemoryDump.from_regions`.
+    """
+
+    def __init__(self, geom: Geometry):
+        self.geom = geom
         self.extents: list[tuple[int, int, str]] = []
+        self.regions: list[tuple[int, bytearray]] = []
+        self._starts: list[int] = []
 
-    def add(self, start: int, size: int, what: str) -> None:
+    def place(self, start: int, size: int, what: str) -> None:
         end = start + size
         for s, e, name in self.extents:
             if start < e and s < end:
@@ -473,9 +496,29 @@ class _Allocations:
                 )
         self.extents.append((start, end, what))
 
-    @property
-    def span(self) -> tuple[int, int]:
-        return min(s for s, _, _ in self.extents), max(e for _, e, _ in self.extents)
+    def build(self) -> None:
+        align = self.geom.region_align
+        spans: list[list[int]] = []
+        for start, end, _ in sorted(self.extents):
+            start, end = start // align * align, -(-end // align) * align
+            if spans and start - spans[-1][1] < MAX_REGION_GAP:
+                spans[-1][1] = max(spans[-1][1], end)
+            else:
+                spans.append([start, end])
+        if spans[0][0] < self.geom.low_region_len:
+            raise ForgeError("allocations collide with the low memory region")
+        low = bytearray(self.geom.low_region_len)
+        low[0x10:0x18] = b"LOWMEM\x00\x00"
+        self.regions = [(0, low)] + [(s, bytearray(e - s)) for s, e in spans]
+        self._starts = [s for s, _ in self.regions]
+
+    def view(self, addr: int, size: int) -> memoryview:
+        """Writable view of ``[addr, addr + size)``, which must lie in one region."""
+        start, buf = self.regions[bisect_right(self._starts, addr) - 1]
+        return memoryview(buf)[addr - start:addr - start + size]
+
+    def write(self, addr: int, data: bytes) -> None:
+        self.view(addr, len(data))[:] = data
 
 
 def _normalize_guid(guid: str) -> str:
@@ -508,43 +551,33 @@ def _validate_spec(spec: ScenarioSpec) -> None:
             )
         if image.size < 0x1000:
             raise ForgeError("forged images must be at least 4 KiB")
-    core = cores[0]
-    if core.size < CHAIN_AREA_OFFSET + 0x1000 + 0x800:
+    if cores[0].size < CHAIN_AREA_OFFSET + 0x1000 + 0x800:
         raise ForgeError("core image too small for stub and chain areas")
 
-    by_key = {i.key: i for i in spec.images}
-    hooked: set[tuple[TableKind, str]] = set()
-    for hook in spec.pointer_hooks:
-        if hook.service not in canonical_layout(hook.table):
-            raise ForgeError(f"unknown service {hook.service!r} for {hook.table.value} table")
-        target = by_key.get(hook.target)
-        if target is None:
-            raise ForgeError(f"pointer hook target image {hook.target!r} not in scenario")
-        if target.role == ROLE_CORE:
-            raise ForgeError("pointer hooks must target a non-core image")
-        key = (hook.table, hook.service)
-        if key in hooked:
-            raise ForgeError(f"duplicate hook on {hook.table.value}:{hook.service}")
-        hooked.add(key)
     for hook in spec.inline_hooks:
-        table = hook.table or _table_of_service(hook.service)
-        if hook.service not in canonical_layout(table):
-            raise ForgeError(f"unknown service {hook.service!r} for {table.value} table")
         if hook.style not in INLINE_STYLES:
             raise ForgeError(f"unknown inline hook style {hook.style!r}")
         if not 1 <= hook.depth <= 4:
             raise ForgeError("inline hook depth must be 1..4")
         if hook.style == STYLE_MOV_JMP and hook.depth != 1:
             raise ForgeError("mov_jmp hooks are single-hop (register-indirect transfer)")
-        payload = by_key.get(hook.payload)
-        if payload is None:
-            raise ForgeError(f"inline hook payload image {hook.payload!r} not in scenario")
-        if payload.role == ROLE_CORE:
-            raise ForgeError("inline hook payload must live in a non-core image")
-        key = (table, hook.service)
-        if key in hooked:
-            raise ForgeError(f"duplicate hook on {table.value}:{hook.service}")
-        hooked.add(key)
+    by_key = {i.key: i for i in spec.images}
+    hooks = [(h.table, h.service, h.target, "pointer hook target") for h in spec.pointer_hooks]
+    hooks += [
+        (h.table or _table_of_service(h.service), h.service, h.payload, "inline hook payload")
+        for h in spec.inline_hooks
+    ]
+    hooked: set[tuple[TableKind, str]] = set()
+    for table, service, key, what in hooks:
+        if service not in canonical_layout(table):
+            raise ForgeError(f"unknown service {service!r} for {table.value} table")
+        if key not in by_key:
+            raise ForgeError(f"{what} image {key!r} not in scenario")
+        if by_key[key].role == ROLE_CORE:
+            raise ForgeError(f"{what} must be a non-core image")
+        if (table, service) in hooked:
+            raise ForgeError(f"duplicate hook on {table.value}:{service}")
+        hooked.add((table, service))
     for kind, name in spec.null_services:
         if name not in canonical_layout(kind):
             raise ForgeError(f"unknown null service {name!r} for {kind.value} table")
@@ -562,22 +595,36 @@ def _table_of_service(service: str) -> TableKind:
     raise ForgeError(f"service {service!r} not in any table layout")
 
 
+def _ldri_span(spec: ScenarioSpec) -> int:
+    return LDRI_CELL_SIZE * len(spec.images) + 0x1800
+
+
 @dataclass
 class _PlacedImage:
     spec: ImageSpec
     base: int
-    buf: bytearray
+    record_addr: int
     next_cell: int = AUX_CELL_BASE
 
-    def reserve_cell(self, offset: int | None, need: int = AUX_CELL_SIZE) -> int:
+    def reserve_cell(self, offset: int | None) -> int:
+        """Address of a hook cell at ``offset`` into the image, or of the next free one."""
         if offset is None:
             offset = self.next_cell
             self.next_cell += AUX_CELL_SIZE
-        if offset + need > self.spec.size:
+        if not 0 <= offset <= self.spec.size - AUX_CELL_SIZE:
             raise ForgeError(
                 f"offset {offset:#x} does not fit inside image {self.spec.key!r}"
             )
-        return offset
+        return self.base + offset
+
+
+class _InlinePlan(NamedTuple):
+    """One inline hook's chain: hop sites in the core, then the payload cell."""
+
+    hook: InlineHookSpec
+    table: TableKind
+    sites: tuple[int, ...]
+    payload_addr: int
 
 
 class ForgedScenario:
@@ -608,19 +655,50 @@ class ForgedScenario:
 def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
     """Build the scenario in memory; byte-identical for equal (spec, seed)."""
     _validate_spec(spec)
-    geom = spec.geometry
     rng = Random(_derive_seed(seed, spec.name))
+    layout, placed = _place(spec)
+    core = next(p for p in placed.values() if p.spec.role == ROLE_CORE)
+    plans = _plan_inline_hooks(spec, placed, core)
+    stub_addrs, stub_listings, inline_truths = _write_stubs(layout, core, rng, plans)
+    pointer_truths = _write_cells(layout, spec, placed, plans, rng)
+    table_truths = _write_tables(layout, spec, stub_addrs, pointer_truths)
+    _write_records(layout, placed)
+    decoy_truths = _write_decoys(layout, spec, core)
 
-    # --- place images ---------------------------------------------------
-    allocations = _Allocations()
-    table_span = geom.table_stride * len(KIND_ORDER)
-    allocations.add(geom.table_base, table_span, "service tables")
-    ldri_span = LDRI_CELL_SIZE * len(spec.images) + 0x1800
-    allocations.add(geom.ldri_base, ldri_span, "image records")
+    image_truths = tuple(
+        ImageTruth(
+            key=key, guid=p.spec.guid, path=p.spec.path, base=p.base, size=p.spec.size,
+            role=p.spec.role, record_addr=p.record_addr,
+            sha256=hashlib.sha256(layout.view(p.base, p.spec.size)).hexdigest(),
+        )
+        for key, p in placed.items()
+    )
+    dump = MemoryDump.from_regions(layout.regions, source_path=f"<forged:{spec.name}>")
+    truth = GroundTruth(
+        scenario=spec.name,
+        seed=seed,
+        crc_policy=spec.crc_policy,
+        total_span=dump.total_span,
+        tables=table_truths,
+        images=image_truths,
+        pointer_hooks=tuple(pointer_truths),
+        inline_hooks=tuple(inline_truths),
+        decoys=tuple(decoy_truths),
+        null_services=tuple((k.value, s) for k, s in spec.null_services),
+        stub_listings=stub_listings,
+    )
+    return ForgedScenario(spec, seed, dump, truth)
 
+
+def _place(spec: ScenarioSpec) -> tuple[_Layout, dict[str, _PlacedImage]]:
+    """Place the tables, the records and every image; write each image's PE headers."""
+    geom = spec.geometry
+    layout = _Layout(geom)
+    layout.place(geom.table_base, geom.table_stride * len(KIND_ORDER), "service tables")
+    layout.place(geom.ldri_base, _ldri_span(spec), "image records")
     placed: dict[str, _PlacedImage] = {}
     auto_base = geom.aux_base
-    for image in spec.images:
+    for idx, image in enumerate(spec.images):
         key = image.key  # hooks and truth reference the spec's original key
         image = replace(image, guid=_normalize_guid(image.guid) if image.guid else None)
         if image.role == ROLE_CORE:
@@ -631,87 +709,122 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
         else:
             base = auto_base
             auto_base = -(-(base + image.size) // geom.aux_align) * geom.aux_align
-        allocations.add(base, image.size, f"image {key!r}")
-        buf = build_minimal_pe(
-            image.size,
-            subsystem=_SUBSYSTEM_BY_ROLE[image.role],
-            image_base=base,
-            label=key,
-        )
-        placed[key] = _PlacedImage(image, base, buf)
+        layout.place(base, image.size, f"image {key!r}")
+        placed[key] = _PlacedImage(image, base, geom.ldri_base + idx * LDRI_CELL_SIZE)
+    layout.build()
+    for key, p in placed.items():
+        _write_pe(layout.view(p.base, p.spec.size), MACHINE_X64,
+                  _SUBSYSTEM_BY_ROLE[p.spec.role], p.base, key)
+    return layout, placed
 
-    core = next(p for p in placed.values() if p.spec.role == ROLE_CORE)
 
-    # --- inline hook pre-pass: pick chain sites and payload cells --------
-    inline_by_service: dict[tuple[TableKind, str], dict] = {}
-    chain_cursor = 0
+def _plan_inline_hooks(spec, placed, core) -> dict[tuple[TableKind, str], _InlinePlan]:
+    """Reserve each inline hook's payload cell and chain sites, in spec order."""
+    site_addrs = range(core.base + CHAIN_AREA_OFFSET,
+                       core.base + DECOY_SIG_OFFSET - CHAIN_SITE_SIZE + 1, CHAIN_SITE_SIZE)
+    used = 0
+    plans = {}
     for hook in spec.inline_hooks:
         table = hook.table or _table_of_service(hook.service)
-        payload_img = placed[hook.payload]
-        payload_off = payload_img.reserve_cell(hook.payload_offset)
-        payload_addr = payload_img.base + payload_off
-        sites = []
-        for _ in range(hook.depth - 1):
-            off = CHAIN_AREA_OFFSET + chain_cursor * CHAIN_SITE_SIZE
-            chain_cursor += 1
-            if off + CHAIN_SITE_SIZE > DECOY_SIG_OFFSET:
-                raise ForgeError("chain site area exhausted")
-            sites.append(core.base + off)
-        inline_by_service[(table, hook.service)] = {
-            "spec": hook,
-            "table": table,
-            "payload_addr": payload_addr,
-            "payload_img": payload_img,
-            "sites": sites,
-        }
+        payload_addr = placed[hook.payload].reserve_cell(hook.payload_offset)
+        sites = tuple(site_addrs[used:used + hook.depth - 1])
+        if len(sites) != hook.depth - 1:
+            raise ForgeError("chain site area exhausted")
+        used += len(sites)
+        plans[(table, hook.service)] = _InlinePlan(hook, table, sites, payload_addr)
+    return plans
 
-    # --- write service stubs into the core image -------------------------
-    stub_addrs: dict[tuple[TableKind, str], int] = {}
-    stub_listings: dict[str, tuple[tuple[int, int, str], ...]] = {}
-    inline_truths: list[InlineHookTruth] = []
-    cell = 0
-    for kind in KIND_ORDER:
-        for name in canonical_layout(kind):
-            offset = STUB_AREA_OFFSET + cell * STUB_SIZE
-            cell += 1
-            addr = core.base + offset
-            stub_addrs[(kind, name)] = addr
-            hook_info = inline_by_service.get((kind, name))
-            listing, truth = _write_stub(core, offset, rng, hook_info)
-            stub_listings[f"{kind.value}/{name}"] = tuple(listing)
-            if truth is not None:
-                inline_truths.append(truth)
-    if STUB_AREA_OFFSET + cell * STUB_SIZE > CHAIN_AREA_OFFSET:
+
+def _write_stubs(layout, core, rng, plans):
+    """Write every service's 64-byte stub into the core, hooked ones with their chains.
+
+    Returns the stub address of each service, each stub's instruction
+    listing [(addr, length, hex)] and the inline hook truths.
+    """
+    services = [(kind, name) for kind in KIND_ORDER for name in canonical_layout(kind)]
+    if STUB_AREA_OFFSET + len(services) * STUB_SIZE > CHAIN_AREA_OFFSET:
         raise ForgeError("stub area overflows into chain area")
+    stub_addrs: dict[tuple[TableKind, str], int] = {}
+    listings: dict[str, tuple[tuple[int, int, str], ...]] = {}
+    truths: list[InlineHookTruth] = []
+    for i, (kind, name) in enumerate(services):
+        addr = stub_addrs[(kind, name)] = core.base + STUB_AREA_OFFSET + i * STUB_SIZE
+        plan = plans.get((kind, name))
+        instructions = []
+        if plan is not None:
+            instructions, truth = _write_hook(layout, addr, plan)
+            truths.append(truth)
+        # A jmp-style hook diverts flow unconditionally: nothing after it
+        # runs, and the sweep stops there too. call-style hooks return, so
+        # give them a benign tail like the real patched function would keep.
+        if plan is None or plan.hook.style == STYLE_CALL_REL32:
+            used = sum(ln for _, ln in instructions)
+            instructions += _benign_body(rng, STUB_SIZE - used)
+        code = b"".join(enc for enc, _ in instructions)
+        layout.write(addr, code.ljust(STUB_SIZE, b"\xCC"))
+        listing, at = [], addr
+        for enc, ln in instructions:
+            listing.append((at, ln, enc.hex()))
+            at += ln
+        listings[f"{kind.value}/{name}"] = tuple(listing)
+    return stub_addrs, listings, truths
 
-    # --- payload cells ----------------------------------------------------
-    for info in inline_by_service.values():
-        img = info["payload_img"]
-        off = info["payload_addr"] - img.base
-        img.buf[off:off + 3] = b"\x90\x90\xC3"  # inert payload marker
 
-    # --- pointer hook target cells ----------------------------------------
-    pointer_truths: list[PointerHookTruth] = []
-    pointer_targets: dict[tuple[TableKind, str], int] = {}
+def _write_hook(layout, addr: int, plan: _InlinePlan) -> tuple[list, InlineHookTruth]:
+    """The hook instructions for the stub at ``addr``; writes its chain sites.
+
+    Returns the instructions [(encoding, length)] and the detector-visible
+    transfer chain as ground truth.
+    """
+    hook = plan.hook
+    hops = plan.sites + (plan.payload_addr,)
+    if hook.style == STYLE_MOV_JMP:  # mov rax, imm64; jmp rax
+        jmp = b"\xFF\xE0"
+        instructions = [(b"\x48\xB8" + struct.pack("<Q", plan.payload_addr), 10), (jmp, 2)]
+        chain = [TransferTruth(addr + 10, "jmp_indirect", 2, None, jmp.hex())]
+    else:
+        opcode, kind = ((b"\xE8", "call_relative") if hook.style == STYLE_CALL_REL32
+                        else (b"\xE9", "jmp_relative"))
+        enc = opcode + _rel32(addr, 5, hops[0])
+        instructions = [(enc, 5)]
+        chain = [TransferTruth(addr, kind, 5, hops[0], enc.hex())]
+    # Chain sites: each hop's bytes and its truth share one encoding.
+    for site, target in zip(plan.sites, hops[1:]):
+        enc = b"\xE9" + _rel32(site, 5, target)
+        layout.write(site, enc.ljust(CHAIN_SITE_SIZE, b"\xCC"))
+        chain.append(TransferTruth(site, "jmp_relative", 5, target, enc.hex()))
+    truth = InlineHookTruth(
+        table=plan.table,
+        service=hook.service,
+        function_addr=addr,
+        hook_addr=chain[0].at,
+        style=hook.style,
+        chain=tuple(chain),
+        payload_addr=plan.payload_addr,
+        payload_key=hook.payload,
+        indeterminate=hook.style == STYLE_MOV_JMP,
+    )
+    return instructions, truth
+
+
+def _write_cells(layout, spec, placed, plans, rng) -> list[PointerHookTruth]:
+    """Mark each inline payload cell, then fill each pointer hook's target cell."""
+    for plan in plans.values():
+        layout.write(plan.payload_addr, b"\x90\x90\xC3")  # inert payload marker
+    truths = []
     for hook in spec.pointer_hooks:
-        img = placed[hook.target]
-        off = img.reserve_cell(hook.target_offset)
-        addr = img.base + off
-        body = _benign_body(rng, AUX_CELL_SIZE)
-        pos = off
-        for enc, _ in body:
-            img.buf[pos:pos + len(enc)] = enc
-            pos += len(enc)
-        pointer_targets[(hook.table, hook.service)] = addr
+        addr = placed[hook.target].reserve_cell(hook.target_offset)
+        layout.write(addr, b"".join(enc for enc, _ in _benign_body(rng, AUX_CELL_SIZE)))
         index = canonical_layout(hook.table).index(hook.service)
-        pointer_truths.append(
-            PointerHookTruth(hook.table, hook.service, index, addr, hook.target)
-        )
+        truths.append(PointerHookTruth(hook.table, hook.service, index, addr, hook.target))
+    return truths
 
-    # --- tables -------------------------------------------------------------
-    table_truths: dict[str, TableTruth] = {}
-    table_bufs: dict[TableKind, bytearray] = {}
+
+def _write_tables(layout, spec, stub_addrs, pointer_truths) -> dict[str, TableTruth]:
+    """Write the three service tables, each CRC stored as the policy says."""
+    geom = spec.geometry
     nulls = set(spec.null_services)
+    truths = {}
     for pos, kind in enumerate(KIND_ORDER):
         names = canonical_layout(kind)
         addr = geom.table_base + pos * geom.table_stride
@@ -724,189 +837,53 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
             name: 0 if (kind, name) in nulls else stub_addrs[(kind, name)] for name in names
         }
         final_pointers = dict(true_pointers)
-        for (hkind, service), target in pointer_targets.items():
-            if hkind is kind:
-                final_pointers[service] = target
+        final_pointers.update((h.service, h.hooked_pointer) for h in pointer_truths
+                              if h.table is kind)
 
-        def render(pointers: dict[str, int], crc: int) -> bytearray:
-            buf = bytearray(TABLE_HEADER.pack(kind.signature, revision, header_size, crc, 0))
-            for name in names:
-                buf += struct.pack("<Q", pointers[name])
-            return buf
+        def render(pointers: dict[str, int], crc: int) -> bytes:
+            header = TABLE_HEADER.pack(kind.signature, revision, header_size, crc, 0)
+            return header + struct.pack(f"<{len(names)}Q", *(pointers[n] for n in names))
 
-        crc_pre = crc32_ieee(bytes(render(true_pointers, 0)))
-        crc_post = crc32_ieee(bytes(render(final_pointers, 0)))
-        stored = {CRC_CORRECT: crc_post, CRC_STALE: crc_pre, CRC_CORRUPTED: _CORRUPT_CRC}[
-            spec.crc_policy
-        ]
-        table_bufs[kind] = render(final_pointers, stored)
-        table_truths[kind.value] = TableTruth(
+        stored = {
+            CRC_CORRECT: crc32_ieee(render(final_pointers, 0)),
+            CRC_STALE: crc32_ieee(render(true_pointers, 0)),
+            CRC_CORRUPTED: _CORRUPT_CRC,
+        }[spec.crc_policy]
+        layout.write(addr, render(final_pointers, stored))
+        truths[kind.value] = TableTruth(
             kind, addr, revision, header_size, stored, true_pointers, final_pointers
         )
+    return truths
 
-    # --- loaded-image records ----------------------------------------------
-    image_truths: list[ImageTruth] = []
-    ldri_area = bytearray(ldri_span)
-    for idx, image in enumerate(spec.images):
-        p = placed[image.key]
-        cell_off = idx * LDRI_CELL_SIZE
-        record_addr = geom.ldri_base + cell_off
+
+def _write_records(layout, placed) -> None:
+    """Write one ``ldri`` record per image, its GUID and UTF-16 path after it."""
+    for p in placed.values():
         guid_ptr = path_ptr = 0
         if p.spec.guid:
-            guid_ptr = record_addr + _LDRI_GUID_OFFSET
-            ldri_area[cell_off + _LDRI_GUID_OFFSET:cell_off + _LDRI_GUID_OFFSET + 16] = (
-                uuid.UUID(p.spec.guid).bytes_le
-            )
+            guid_ptr = p.record_addr + _LDRI_GUID_OFFSET
+            layout.write(guid_ptr, uuid.UUID(p.spec.guid).bytes_le)
         if p.spec.path:
-            encoded = p.spec.path.encode("utf-16-le") + b"\x00\x00"
-            path_ptr = record_addr + _LDRI_PATH_OFFSET
-            ldri_area[cell_off + _LDRI_PATH_OFFSET:cell_off + _LDRI_PATH_OFFSET + len(encoded)] = encoded
-        ldri_area[cell_off:cell_off + LDRI_RECORD_LEN] = LDRI_RECORD.pack(
+            path_ptr = p.record_addr + _LDRI_PATH_OFFSET
+            layout.write(path_ptr, p.spec.path.encode("utf-16-le") + b"\x00\x00")
+        layout.write(p.record_addr, LDRI_RECORD.pack(
             LDRI_SIGNATURE, p.base, p.spec.size, guid_ptr, path_ptr
-        )
-        image_truths.append(
-            ImageTruth(
-                key=image.key, guid=p.spec.guid, path=p.spec.path, base=p.base,
-                size=p.spec.size, role=p.spec.role, record_addr=record_addr,
-                sha256="",  # filled once the image bytes are final
-            )
-        )
+        ))
 
-    # --- decoys ---------------------------------------------------------------
-    decoy_truths: list[dict] = []
+
+def _write_decoys(layout, spec, core) -> list[dict]:
+    truths = []
     for decoy in spec.decoys:
         if decoy.kind == DECOY_FAKE_SIGNATURE:
             # Table signature inside image file data with an insane header.
-            off = DECOY_SIG_OFFSET
-            addr = core.base + off
-            core.buf[off:off + HEADER_LEN] = TABLE_HEADER.pack(
-                b"BOOTSERV", BOOT_REVISION, 0, 0, 0
-            )
+            addr = core.base + DECOY_SIG_OFFSET
+            layout.write(addr, TABLE_HEADER.pack(b"BOOTSERV", BOOT_REVISION, 0, 0, 0))
         else:
             # ldri bytes whose size field cannot possibly be a real image.
-            off = ldri_span - 0x800
-            addr = geom.ldri_base + off
-            ldri_area[off:off + LDRI_RECORD_LEN] = LDRI_RECORD.pack(
-                LDRI_SIGNATURE, 0x1000, 0xFFFF_FFFF_0000, 0, 0
-            )
-        decoy_truths.append({"kind": decoy.kind, "addr": f"0x{addr:x}"})
-
-    # --- finalize image digests -------------------------------------------
-    image_truths = [
-        replace(t, sha256=hashlib.sha256(bytes(placed[t.key].buf)).hexdigest())
-        for t in image_truths
-    ]
-
-    # --- assemble the file: the low region, then the high region ----------
-    pieces = [(p.base, p.buf) for p in placed.values()]
-    pieces += [
-        (geom.table_base + pos * geom.table_stride, table_bufs[kind])
-        for pos, kind in enumerate(KIND_ORDER)
-    ]
-    pieces.append((geom.ldri_base, ldri_area))
-
-    lo, hi = allocations.span
-    region_start = (lo // geom.region_align) * geom.region_align
-    total_span = -(-hi // geom.region_align) * geom.region_align
-    if region_start < geom.low_region_len:
-        raise ForgeError("allocations collide with the low memory region")
-    regions = [
-        Region(0, 0, geom.low_region_len),
-        Region(region_start, geom.low_region_len, total_span - region_start),
-    ]
-    file_bytes = bytearray(geom.low_region_len + total_span - region_start)
-    file_bytes[0x10:0x18] = b"LOWMEM\x00\x00"
-    for start, data in pieces:
-        off = start - region_start + geom.low_region_len
-        file_bytes[off:off + len(data)] = data
-    dump = MemoryDump(file_bytes, regions, source_path=f"<forged:{spec.name}>")
-
-    truth = GroundTruth(
-        scenario=spec.name,
-        seed=seed,
-        crc_policy=spec.crc_policy,
-        total_span=total_span,
-        tables=table_truths,
-        images=tuple(image_truths),
-        pointer_hooks=tuple(pointer_truths),
-        inline_hooks=tuple(inline_truths),
-        decoys=tuple(decoy_truths),
-        null_services=tuple((k.value, s) for k, s in spec.null_services),
-        stub_listings=stub_listings,
-    )
-    return ForgedScenario(spec, seed, dump, truth)
-
-
-def _write_stub(core: _PlacedImage, offset: int, rng: Random, hook_info) -> tuple[list, InlineHookTruth | None]:
-    """Compose one 64-byte service stub, optionally hooked, into the core.
-
-    Returns the instruction listing [(addr, length, hex)] and, for hooked
-    stubs, the detector-visible transfer chain as ground truth.
-    """
-    addr = core.base + offset
-    instructions: list[tuple[bytes, int]] = []
-    chain: list[TransferTruth] = []
-    truth = None
-
-    if hook_info is not None:
-        hook: InlineHookSpec = hook_info["spec"]
-        first_hop = hook_info["sites"][0] if hook_info["sites"] else hook_info["payload_addr"]
-        if hook.style == STYLE_CALL_REL32:
-            enc = b"\xE8" + _rel32(addr, 5, first_hop)
-            instructions.append((enc, 5))
-            chain.append(TransferTruth(addr, "call_relative", 5, first_hop, enc.hex()))
-        elif hook.style == STYLE_JMP_REL32:
-            enc = b"\xE9" + _rel32(addr, 5, first_hop)
-            instructions.append((enc, 5))
-            chain.append(TransferTruth(addr, "jmp_relative", 5, first_hop, enc.hex()))
-        else:  # mov_jmp: mov rax, imm64; jmp rax
-            mov = b"\x48\xB8" + struct.pack("<Q", hook_info["payload_addr"])
-            jmp = b"\xFF\xE0"
-            instructions.append((mov, 10))
-            instructions.append((jmp, 2))
-            chain.append(TransferTruth(addr + 10, "jmp_indirect", 2, None, jmp.hex()))
-
-        # Chain sites: each hop's bytes and its truth share one encoding.
-        sites = hook_info["sites"]
-        hops = sites[1:] + [hook_info["payload_addr"]]
-        for site_addr, hop_target in zip(sites, hops):
-            enc = b"\xE9" + _rel32(site_addr, 5, hop_target)
-            off = site_addr - core.base
-            core.buf[off:off + 5] = enc
-            core.buf[off + 5:off + CHAIN_SITE_SIZE] = b"\xCC" * (CHAIN_SITE_SIZE - 5)
-            chain.append(TransferTruth(site_addr, "jmp_relative", 5, hop_target, enc.hex()))
-
-        truth = InlineHookTruth(
-            table=hook_info["table"],
-            service=hook.service,
-            function_addr=addr,
-            hook_addr=chain[0].at,
-            style=hook.style,
-            chain=tuple(chain),
-            payload_addr=hook_info["payload_addr"],
-            payload_key=hook.payload,
-            indeterminate=hook.style == STYLE_MOV_JMP,
-        )
-
-    used = sum(ln for _, ln in instructions)
-    # A jmp-style hook diverts flow unconditionally: nothing after it runs,
-    # and the sweep stops there too. call-style hooks return, so give them
-    # a benign tail like the real patched function would keep.
-    diverts = bool(instructions) and (
-        instructions[-1][0][:1] == b"\xE9" or instructions[-1][0] == b"\xFF\xE0"
-    )
-    if not diverts:
-        instructions += _benign_body(rng, STUB_SIZE - used)
-
-    listing = []
-    pos = offset
-    for enc, ln in instructions:
-        core.buf[pos:pos + len(enc)] = enc
-        listing.append((core.base + pos, ln, enc.hex()))
-        pos += ln
-    end = offset + STUB_SIZE
-    core.buf[pos:end] = b"\xCC" * (end - pos)
-    return listing, truth
+            addr = spec.geometry.ldri_base + _ldri_span(spec) - 0x800
+            layout.write(addr, LDRI_RECORD.pack(LDRI_SIGNATURE, 0x1000, 0xFFFF_FFFF_0000, 0, 0))
+        truths.append({"kind": decoy.kind, "addr": f"0x{addr:x}"})
+    return truths
 
 
 def forge_dump(spec: ScenarioSpec, out_dir, seed: int = 0) -> GroundTruth:
@@ -926,12 +903,12 @@ def builtin_scenarios() -> list[ScenarioSpec]:
     cosmic = ImageSpec(guid=COSMICSTRAND_GUID, size=0x1_0000, role=ROLE_DRIVER)
     oprom = ImageSpec(guid=OPROM_GUID, size=0x8000, role=ROLE_OPROM)
     bootx64 = ImageSpec(path=BOOTX64_PATH, size=0x1_0000, role=ROLE_APP)
-    moon_payload = ImageSpec(
-        guid=MOONBOUNCE_PAYLOAD_GUID, size=0xD000, base=MOONBOUNCE_PAYLOAD_BASE,
-        role=ROLE_PAYLOAD,
-    )
+    moon_payload = ImageSpec(guid=MOONBOUNCE_PAYLOAD_GUID, size=0xD000,
+                             base=MOONBOUNCE_PAYLOAD_BASE, role=ROLE_PAYLOAD)
     nested_payload = ImageSpec(guid=NESTED_PAYLOAD_GUID, size=0x8000, role=ROLE_PAYLOAD)
 
+    efiguard_hooks = (PointerHookSpec(TableKind.BOOT, "LoadImage", EFIGUARD_PATH),
+                      PointerHookSpec(TableKind.RUNTIME, "SetVariable", EFIGUARD_PATH))
     cosmic_hooks = (
         PointerHookSpec(TableKind.BOOT, "AllocatePages", COSMICSTRAND_GUID),
         PointerHookSpec(TableKind.BOOT, "LocateProtocol", COSMICSTRAND_GUID),
@@ -940,69 +917,35 @@ def builtin_scenarios() -> list[ScenarioSpec]:
         PointerHookSpec(TableKind.RUNTIME, "SetVariable", COSMICSTRAND_GUID),
     )
 
+    moon_hook = InlineHookSpec(service="CreateEventEx", style=STYLE_CALL_REL32, depth=1,
+                               payload=MOONBOUNCE_PAYLOAD_GUID,
+                               payload_offset=MOONBOUNCE_PAYLOAD_OFFSET)
+
+    def nested(depth: int) -> ScenarioSpec:
+        hook = InlineHookSpec(service="CreateEventEx", style=STYLE_JMP_REL32, depth=depth,
+                              payload=NESTED_PAYLOAD_GUID)
+        return ScenarioSpec(f"nested-{depth}", images=(core, nested_payload), inline_hooks=(hook,))
+
     return [
         ScenarioSpec("clean", images=(core, bootmgr, terminal)),
-        ScenarioSpec(
-            "efiguard",
-            images=(core, bootmgr, efiguard),
-            pointer_hooks=(
-                PointerHookSpec(TableKind.BOOT, "LoadImage", EFIGUARD_PATH),
-                PointerHookSpec(TableKind.RUNTIME, "SetVariable", EFIGUARD_PATH),
-            ),
-        ),
-        ScenarioSpec(
-            "glupteba",
-            images=(core, bootmgr, efiguard),
-            pointer_hooks=(
-                PointerHookSpec(TableKind.BOOT, "LoadImage", EFIGUARD_PATH),
-            ),
-        ),
+        ScenarioSpec("efiguard", images=(core, bootmgr, efiguard), pointer_hooks=efiguard_hooks),
+        ScenarioSpec("glupteba", images=(core, bootmgr, efiguard),
+                     pointer_hooks=efiguard_hooks[:1]),
         ScenarioSpec("cosmicstrand", images=(core, cosmic), pointer_hooks=cosmic_hooks),
         ScenarioSpec(
             "thunderstrike",
             # Exactly three images, one per loading source: firmware-embedded
             # core, ESP application, PCI option ROM.
             images=(core, bootx64, oprom),
-            pointer_hooks=(
-                PointerHookSpec(TableKind.DXE, "ProcessFirmwareVolume", OPROM_GUID),
-            ),
+            pointer_hooks=(PointerHookSpec(TableKind.DXE, "ProcessFirmwareVolume", OPROM_GUID),),
         ),
-        ScenarioSpec(
-            "moonbounce",
-            images=(core, moon_payload),
-            inline_hooks=(
-                InlineHookSpec(
-                    service="CreateEventEx",
-                    style=STYLE_CALL_REL32,
-                    depth=1,
-                    payload=MOONBOUNCE_PAYLOAD_GUID,
-                    payload_offset=MOONBOUNCE_PAYLOAD_OFFSET,
-                ),
-            ),
-        ),
+        ScenarioSpec("moonbounce", images=(core, moon_payload), inline_hooks=(moon_hook,)),
         ScenarioSpec("crc-recalc", images=(core, cosmic), pointer_hooks=cosmic_hooks,
                      crc_policy=CRC_CORRECT),
-        ScenarioSpec(
-            "nested-3",
-            images=(core, nested_payload),
-            inline_hooks=(
-                InlineHookSpec(service="CreateEventEx", style=STYLE_JMP_REL32,
-                               depth=3, payload=NESTED_PAYLOAD_GUID),
-            ),
-        ),
-        ScenarioSpec(
-            "nested-4",
-            images=(core, nested_payload),
-            inline_hooks=(
-                InlineHookSpec(service="CreateEventEx", style=STYLE_JMP_REL32,
-                               depth=4, payload=NESTED_PAYLOAD_GUID),
-            ),
-        ),
-        ScenarioSpec(
-            "decoy-heavy",
-            images=(core, bootmgr, terminal),
-            decoys=(DecoySpec(DECOY_FAKE_SIGNATURE), DecoySpec(DECOY_FAKE_LDRI)),
-        ),
+        nested(3),
+        nested(4),
+        ScenarioSpec("decoy-heavy", images=(core, bootmgr, terminal),
+                     decoys=(DecoySpec(DECOY_FAKE_SIGNATURE), DecoySpec(DECOY_FAKE_LDRI))),
     ]
 
 

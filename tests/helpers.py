@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import uuid
+from pathlib import Path
 from random import Random
 
 from uefiforensics.forge import (
@@ -56,10 +57,10 @@ def brute_force_find(flat: bytes, sig: bytes, alignment: int = 1) -> list[int]:
 
 def reassemble_dump_file(dump_path, map_path=None) -> bytes:
     """Rebuild the flat physical image straight from file + sidecar JSON."""
-    data = open(dump_path, "rb").read()
+    data = Path(dump_path).read_bytes()
     if map_path is None:
         return data
-    records = json.loads(open(map_path, "r", encoding="utf-8").read())
+    records = json.loads(Path(map_path).read_text(encoding="utf-8"))
     regions = [
         (int(str(r["phys_start"]), 0), int(str(r["file_offset"]), 0), int(str(r["length"]), 0))
         for r in records

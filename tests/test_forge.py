@@ -9,6 +9,9 @@ from uefiforensics.dump_model import load_dump
 from uefiforensics.forge import (
     COMPACT_GEOMETRY,
     CORE_GUID,
+    DEFAULT_GEOMETRY,
+    LDRI_CELL_SIZE,
+    MOONBOUNCE_PAYLOAD_BASE,
     STYLE_MOV_JMP,
     DecoySpec,
     ForgeError,
@@ -23,6 +26,7 @@ from uefiforensics.forge import (
     scenario_by_name,
 )
 from uefiforensics.image_registry import scan_loaded_images
+from uefiforensics.report import analyze_dump
 from uefiforensics.service_tables import TableKind, locate_tables
 
 
@@ -220,6 +224,56 @@ def test_payload_offset_out_of_image_rejected():
     )
     with pytest.raises(ForgeError):
         build_scenario(spec)
+
+
+@pytest.mark.parametrize(
+    "hooks",
+    [
+        {"inline_hooks": (InlineHookSpec(service="CreateEventEx", payload="\\EFI\\x.efi",
+                                         payload_offset=-0x40),)},
+        {"pointer_hooks": (PointerHookSpec(TableKind.BOOT, "LoadImage", "\\EFI\\x.efi",
+                                           target_offset=-0x40),)},
+    ],
+    ids=["inline", "pointer"],
+)
+def test_negative_cell_offset_rejected(hooks):
+    with pytest.raises(ForgeError, match="does not fit inside image"):
+        build_scenario(compact_spec(**hooks))
+
+
+def test_pinned_base_gets_its_own_region(tmp_path):
+    # moonbounce pins its payload at 0x3FAD0000, far above the compact
+    # geometry: the file carries the low region, the compact cluster and
+    # the payload, not the gigabyte of zeros between them.
+    spec = replace(scenario_by_name("moonbounce"), geometry=COMPACT_GEOMETRY)
+    scenario = build_scenario(spec)
+    paths = scenario.write(tmp_path)
+    assert paths["dump"].stat().st_size < 2 << 20
+    regions = scenario.dump.regions
+    assert len(regions) == 3
+    assert regions[2].phys_start == MOONBOUNCE_PAYLOAD_BASE
+
+    report = analyze_dump(load_dump(paths["dump"], paths["map"]))
+    assert report.pointer_findings == []
+    got = {(f.table_kind, f.service_name, f.hook_addr, f.final_target)
+           for f in report.inline_findings}
+    want = {(h.table, h.service, h.hook_addr, h.payload_addr)
+            for h in scenario.truth.inline_hooks}
+    assert len(want) == 1 and got == want
+
+
+@pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY, COMPACT_GEOMETRY],
+                         ids=["default", "compact"])
+def test_truth_structures_lie_inside_one_region(geometry):
+    for spec in builtin_scenarios():
+        scenario = build_scenario(replace(spec, geometry=geometry))
+        truth = scenario.truth
+        extents = [(i.base, i.size) for i in truth.images]
+        extents += [(i.record_addr, LDRI_CELL_SIZE) for i in truth.images]
+        extents += [(t.addr, t.header_size) for t in truth.tables.values()]
+        for start, size in extents:
+            assert any(r.phys_start <= start and start + size <= r.phys_end
+                       for r in scenario.dump.regions), (spec.name, hex(start))
 
 
 def test_crc_policies_affect_only_stored_crc():

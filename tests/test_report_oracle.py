@@ -5,16 +5,24 @@ builtin scenario at seed 0 this holds the SHA-256 of the report JSON
 (``meta`` removed, ``indent=2``) and of the text report. A digest that
 changes means the reports changed; update it only for an intended change
 of report content, and say why where the change is recorded. The forged
-files (dump, sidecar and truth manifest) are pinned the same way, so a
-change to the forge or the sidecar writer shows up here too.
+files (dump, sidecar and truth manifest) are pinned the same way, at seed 0
+and seed 1 and at both geometries, so a change to the forge or the sidecar
+writer shows up here too.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from uefiforensics.forge import builtin_scenarios
+from uefiforensics.forge import (
+    COMPACT_GEOMETRY,
+    DEFAULT_GEOMETRY,
+    build_scenario,
+    builtin_scenarios,
+    scenario_by_name,
+)
 from uefiforensics.report import analyze_dump, render_text, to_json_dict
 
 # scenario -> (report JSON digest, text report digest)
@@ -116,13 +124,50 @@ FILE_DIGESTS = {
 }
 
 
+# scenario -> _combined(.dump, .map.json, .truth.json digests), seed 1
+SEED1_FILE_DIGESTS = {
+    "clean": "2997c5e9023b204949b82ba9ff9500b4a150ec156129753bbe68a9824c565867",
+    "efiguard": "c0356471035e7154c8a0f6bbec0522e4f4ab2a2c62bb813262de479bc3cfe707",
+    "glupteba": "e33d2e0ccde3a0746853f0f815ce59a25ff9201af12f04d7935c512505b2e593",
+    "cosmicstrand": "bb0cb8fc2f3c389a9049e35797660a04f9abc164b64eef91d0c9dd307f646843",
+    "thunderstrike": "29297ff47be2a235c0d0e4bf38f9394d694944e99058e89c9a799f4bc8c5951f",
+    "moonbounce": "cfa10dce81c0dcc9f63f786acde4c1d0b4f1f689d45d4c2d13449d18297277c3",
+    "crc-recalc": "65305f8e3c43c52d069381af7e89017979c4c4542f7034d5480ab68a7d531067",
+    "nested-3": "4ce91db10b9fc4b486a40b2605e7d07728aa55535a4e9213928fed4d1afde49c",
+    "nested-4": "250dc4301cd001b792ffab7ac85a12c00db76e55cc3687725d444bde6b6658e1",
+    "decoy-heavy": "5c0102537bf6e1823d483d262d3801777bbf85e330faefdc00759face7e12dbc",
+}
+
+# scenario -> _combined(...) at COMPACT_GEOMETRY, seed 0. moonbounce pins its
+# payload at 0x3FAD0000, far above this geometry: the payload gets a region
+# of its own, and the file is 1.1 MiB, not 1,017 MiB of mostly zeros.
+COMPACT_FILE_DIGESTS = {
+    "clean": "0b0e0798c91ebb24d4d8e09721d3cdadf24473d21ec082515642dbdf4cef5e84",
+    "efiguard": "32b3427c91c35b875a24937ef0c46a14baeb2d12a2fdb2ea2c06cedd491f3406",
+    "glupteba": "8e8f3ae00f272aae249f18bd19e001ae0637dffd4d7f784fa7c6f42ec74d0774",
+    "cosmicstrand": "825a1bb1e209bce4b2c8837328065899f85fd831fdd8720af9f2e0bd59a5a615",
+    "thunderstrike": "f2e18de3b672a0142ae9807822200228354baef8a16397dfb09a4e30649b6077",
+    "moonbounce": "425c73617bfaa0d11dc9deb9353e30be3649ced3e3871beb6031a8cd5f4861ba",
+    "crc-recalc": "6b5b7c6eaae26b5a18b0235fbc538ee32b80f444b8fc589609811cc2b649749f",
+    "nested-3": "46b85adb45e2916259d767d72ba1ec7f00fc7e4d0947eae23448d880e500f684",
+    "nested-4": "9825ac99a89ac9a66e07b23a3036e79d887aef2e2024cd2cf00ef130d50d7bed",
+    "decoy-heavy": "d33e3ced05127cac1fdddb47eb841690142c601fad0ded5d6f69c9936c1da065",
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _combined(digests) -> str:
+    """One digest for a case's three file digests."""
+    return _sha256(" ".join(digests))
 
 
 def test_digests_cover_every_builtin():
     names = sorted(spec.name for spec in builtin_scenarios())
     assert sorted(REPORT_DIGESTS) == sorted(FILE_DIGESTS) == names
+    assert sorted(SEED1_FILE_DIGESTS) == sorted(COMPACT_FILE_DIGESTS) == names
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
@@ -134,11 +179,22 @@ def test_report_bytes_unchanged(forged, name):
         REPORT_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(FILE_DIGESTS))
-def test_forged_files_unchanged(forged, tmp_path, name):
-    paths = forged(name).write(tmp_path)
+FILE_CASES = (
+    [pytest.param(name, 0, DEFAULT_GEOMETRY, _combined(digests), id=name)
+     for name, digests in sorted(FILE_DIGESTS.items())]
+    + [pytest.param(name, 1, DEFAULT_GEOMETRY, digest, id=f"seed1-{name}")
+       for name, digest in sorted(SEED1_FILE_DIGESTS.items())]
+    + [pytest.param(name, 0, COMPACT_GEOMETRY, digest, id=f"compact-{name}")
+       for name, digest in sorted(COMPACT_FILE_DIGESTS.items())]
+)
+
+
+@pytest.mark.parametrize("name, seed, geometry, expected", FILE_CASES)
+def test_forged_files_unchanged(tmp_path, name, seed, geometry, expected):
+    spec = replace(scenario_by_name(name), geometry=geometry)
+    paths = build_scenario(spec, seed).write(tmp_path)
     digests = [hashlib.sha256(paths[kind].read_bytes()).hexdigest()
                for kind in ("dump", "map", "truth")]
     for path in paths.values():
         path.unlink()  # the dumps are megabytes each
-    assert tuple(digests) == FILE_DIGESTS[name]
+    assert _combined(digests) == expected
