@@ -14,7 +14,6 @@ from .dump_model import (  # noqa: E402,F401
     MemoryDump,
     OutOfBoundsRead,
     Region,
-    SignatureHit,
     load_dump,
 )
 from .service_tables import (  # noqa: F401

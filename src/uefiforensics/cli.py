@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import uuid
 from dataclasses import fields
 from pathlib import Path
 
@@ -62,6 +63,11 @@ def int_range(limit: int):
     return integer
 
 
+def guid(text: str) -> str:
+    """An argparse type: any GUID form ``uuid.UUID`` reads, as uppercase 8-4-4-4-12 text."""
+    return str(uuid.UUID(text)).upper()
+
+
 # Flag destinations are AnalysisOptions field names, so _load can pass them on.
 def _add_dump_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("dump", help="raw memory dump file")
@@ -86,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run the full detection pipeline on a dump")
     _add_dump_args(p)
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
-    p.add_argument("--baseline-guid", help="override baseline inference with this image GUID")
+    p.add_argument("--baseline-guid", type=guid,
+                   help="override baseline inference with this loaded image's GUID")
     p.add_argument("--prologue-window", type=int_range(PROLOGUE_WINDOW_LIMIT),
                    default=DEFAULT_PROLOGUE_WINDOW,
                    help=f"prologue sweep bytes, 1-{PROLOGUE_WINDOW_LIMIT} (default %(default)s)")
@@ -125,6 +132,9 @@ def _load(args):
 def cmd_analyze(args) -> int:
     dump, options = _load(args)
     report = analyze_dump(dump, options)
+    if options.baseline_guid and report.image_map.by_guid(options.baseline_guid) is None:
+        print(f"error: no loaded image has GUID {options.baseline_guid}", file=sys.stderr)
+        return EXIT_ERROR
     sys.stdout.write(render_text(report))
     if args.json:
         Path(args.json).write_text(
@@ -142,7 +152,7 @@ def cmd_carve(args) -> int:
         print(f"{image.output_name}  base={image.image_base:#x} size={image.image_size:#x} "
               f"sha256={image.sha256}{flag}")
     for anomaly in anomalies:
-        print(f"anomaly: {anomaly.kind}: {anomaly.detail}")
+        print(f"anomaly: {anomaly}")
     print(f"carved {len(carved)} image(s) -> {args.out_dir}")
     return EXIT_CLEAN
 
@@ -158,8 +168,7 @@ def cmd_tables(args) -> int:
         for entry in table.entries:
             print(f"  {entry.index:3d}  {entry.name:<40} {entry.pointer:#018x}")
     for anomaly in anomalies:
-        where = f" @ {anomaly.addr:#x}" if anomaly.addr is not None else ""
-        print(f"anomaly: {anomaly.kind}{where}: {anomaly.detail}")
+        print(f"anomaly: {anomaly}")
     return EXIT_CLEAN
 
 

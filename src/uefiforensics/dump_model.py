@@ -49,18 +49,16 @@ class Region:
 
 
 @dataclass(frozen=True)
-class SignatureHit:
-    signature: bytes
-    addr: PhysAddr
-
-
-@dataclass(frozen=True)
 class Anomaly:
     """A structural oddity worth reporting; never a hook finding by itself."""
 
     kind: str
     addr: PhysAddr | None
     detail: str
+
+    def __str__(self) -> str:
+        where = f" @ {self.addr:#x}" if self.addr is not None else ""
+        return f"{self.kind}{where}: {self.detail}"
 
 
 class MemoryDump:
@@ -177,8 +175,8 @@ class MemoryDump:
     def in_span(self, addr: PhysAddr, length: int = 1) -> bool:
         return 0 <= addr and addr + length <= self.total_span
 
-    def find_signature(self, sig: bytes, alignment: int | None = None) -> list[SignatureHit]:
-        """Find every aligned occurrence of ``sig``, in ascending address order.
+    def find_signature(self, sig: bytes, alignment: int | None = None) -> list[PhysAddr]:
+        """Addresses of every aligned occurrence of ``sig``, in ascending order.
 
         ``alignment`` defaults to the signature length (table structures are
         naturally aligned allocations); pass 1 to scan every byte offset.
@@ -215,7 +213,7 @@ class MemoryDump:
             gap_start = region.phys_end
         hits = sorted(addr for addr in found if addr % alignment == 0)
         logger.debug("signature %r: %d hit(s)", sig, len(hits))
-        return [SignatureHit(sig, addr) for addr in hits]
+        return hits
 
     def __repr__(self) -> str:
         return (

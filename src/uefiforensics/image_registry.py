@@ -173,10 +173,10 @@ def scan_loaded_images(dump: MemoryDump, alignment: int | None = None) -> ImageM
     """
     records = []
     anomalies = []
-    for hit in dump.find_signature(LDRI_SIGNATURE, alignment):
+    for addr in dump.find_signature(LDRI_SIGNATURE, alignment):
         try:
-            records.append(_parse_record(dump, hit.addr))
+            records.append(_parse_record(dump, addr))
         except (ValueError, OutOfBoundsRead) as exc:
-            anomalies.append(Anomaly("ldri_candidate_rejected", hit.addr, str(exc)))
+            anomalies.append(Anomaly("ldri_candidate_rejected", addr, str(exc)))
     logger.debug("image scan: %d record(s), %d anomaly(ies)", len(records), len(anomalies))
     return ImageMap(records, anomalies)

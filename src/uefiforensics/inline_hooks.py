@@ -16,15 +16,17 @@ skipped, among them ``endbr64`` and the other hint NOPs, ``cmovcc``,
 ``setcc``, the ``D0``-``D3`` shifts, ``cmpxchg`` and ``stos``. Opaque,
 which ends the sweep, is anything else: opcodes not in the map, forms a
 CPU rejects (register operands of ``lea`` and far ``call``/``jmp``,
-``C6``/``C7`` other than ``mov``) and encodings longer than 15 bytes. A
-full-fidelity disassembler can be dropped in behind ``decode_instruction``
-without touching the detection logic.
+``C6``/``C7`` other than ``mov``) and encodings longer than 15 bytes. The
+decoder returns a plain ``(length, kind, target, slot)`` tuple, or None
+when opaque; a sweep builds one ``ControlTransfer`` per transfer it keeps.
+A full-fidelity disassembler returning that tuple can be dropped in behind
+``decode_instruction`` without touching the detection logic.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .dump_model import MemoryDump, OutOfBoundsRead, PhysAddr
 from .image_registry import ImageMap, LoadedImageRecord
@@ -60,15 +62,6 @@ class ControlTransfer:
     target: PhysAddr | None
     # For RIP-relative indirect forms: address of the 8-byte pointer slot.
     indirect_slot: PhysAddr | None = None
-
-
-@dataclass(frozen=True)
-class DecodedInstruction:
-    """One classified instruction: a transfer, a return, or a skip."""
-
-    length: int
-    kind: str  # "transfer" | "ret" | "skip"
-    transfer: ControlTransfer | None = None
 
 
 # Stop reasons for the linear sweep.
@@ -180,11 +173,14 @@ def _modrm_operand_len(window: bytes, i: int) -> tuple[int, int, int]:
     return n, mod, rm
 
 
-def decode_instruction(window: bytes, at: PhysAddr) -> DecodedInstruction | None:
-    """Classify the instruction at the start of ``window``.
+def decode_instruction(window: bytes, at: PhysAddr) -> tuple | None:
+    """Classify the instruction at ``at``, whose bytes start ``window``.
 
-    Returns a transfer, a return, or a skip with its decoded length; None
-    means the bytes could not be length-decoded (opaque). ``window`` is
+    Returns None when the bytes cannot be length-decoded (opaque), else
+    ``(length, kind, target, slot)``. ``kind`` is ``"skip"``, ``"ret"`` or
+    a :class:`TransferKind`. ``target`` is set for relative transfers;
+    ``slot`` is the address of the 8-byte pointer a near RIP-relative
+    indirect transfer goes through. Both are None otherwise. ``window`` is
     zero-padded to the 16 bytes instruction decoding may need.
     """
     if len(window) < DECODE_WINDOW:
@@ -226,15 +222,13 @@ def decode_instruction(window: bytes, at: PhysAddr) -> DecodedInstruction | None
         return None
 
     if type(kind) is str:
-        return DecodedInstruction(length, kind)
+        return length, kind, None, None
     target = slot = None
     if not has_modrm:
         target = (at + length + int.from_bytes(window[i:length], "little", signed=True)) & _MASK64
     elif mod == 0 and rm == 5 and (op, reg) not in _MEMORY_ONLY:
         slot = (at + length + int.from_bytes(window[i - 4:i], "little", signed=True)) & _MASK64
-    return DecodedInstruction(
-        length, "transfer", ControlTransfer(at, kind, length, target, indirect_slot=slot)
-    )
+    return length, kind, target, slot
 
 
 def scan_prologue(
@@ -260,21 +254,22 @@ def scan_prologue(
     cursor = 0
     stop = STOP_WINDOW
     while cursor < window:
-        decoded = decode_instruction(code[cursor:cursor + DECODE_WINDOW], function_addr + cursor)
+        at = function_addr + cursor
+        decoded = decode_instruction(code[cursor:cursor + DECODE_WINDOW], at)
         if decoded is None:
             stop = STOP_OPAQUE
             break
-        cursor += decoded.length
-        if decoded.kind == "ret":
+        length, kind, target, slot = decoded
+        cursor += length
+        if kind == "skip":
+            continue
+        if kind == "ret":
             stop = STOP_RET
             break
-        t = decoded.transfer
-        if t is None:
-            continue
-        if t.indirect_slot is not None and dump.in_span(t.indirect_slot, 8):
-            t = replace(t, target=dump.read_u64(t.indirect_slot))
-        transfers.append(t)
-        if t.kind in (TransferKind.JMP_RELATIVE, TransferKind.JMP_INDIRECT):
+        if slot is not None and dump.in_span(slot, 8):
+            target = dump.read_u64(slot)
+        transfers.append(ControlTransfer(at, kind, length, target, slot))
+        if kind in (TransferKind.JMP_RELATIVE, TransferKind.JMP_INDIRECT):
             stop = STOP_JMP
             break
     return PrologueScan(tuple(transfers), stop, function_addr + cursor)

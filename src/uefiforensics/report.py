@@ -327,9 +327,7 @@ def render_text(report: AnalysisReport) -> str:
             f" chain={len(f.chain)}{' indeterminate' if f.indeterminate else ''}"
         )
     lines.append(f"anomalies ({len(report.anomalies)}):")
-    for a in report.anomalies:
-        where = f" @ {a.addr:#x}" if a.addr is not None else ""
-        lines.append(f"  {a.kind}{where}: {a.detail}")
+    lines.extend(f"  {a}" for a in report.anomalies)
     if report.carve_dir is not None:
         lines.append(f"carved {len(report.carved)} image(s) -> {report.carve_dir}")
     lines.append(f"verdict: {report.exit_classification}")

@@ -247,8 +247,8 @@ def find_table_candidates(
     if alignment is None:
         alignment = len(BOOT_SIGNATURE)
     candidates = []
-    for hit in dump.find_signature(_SUFFIX, min(alignment, len(_SUFFIX))):
-        addr = hit.addr - _PREFIX_LEN
+    for suffix_addr in dump.find_signature(_SUFFIX, min(alignment, len(_SUFFIX))):
+        addr = suffix_addr - _PREFIX_LEN
         if addr >= 0 and addr % alignment == 0:
             kind = _KIND_BY_SIGNATURE.get(dump.read_bytes(addr, len(BOOT_SIGNATURE)))
             if kind is not None:

@@ -1,4 +1,5 @@
 import json
+import struct
 from dataclasses import replace
 
 import pytest
@@ -86,6 +87,22 @@ def test_carve_command(fixture_dir, tmp_path, capsys):
     assert len(list(out_dir.glob("*.efi"))) == 3
 
 
+def test_carve_prints_anomaly_address(tmp_path, capsys):
+    # An e_lfanew past the image end keeps MZ (the record is accepted) but
+    # fails PE validation when carved.
+    scenario = build_scenario(replace(scenario_by_name("clean"), geometry=COMPACT_GEOMETRY))
+    paths = scenario.write(tmp_path)
+    base = scenario.truth.images[0].base
+    (region,) = [r for r in scenario.dump.regions if r.phys_start <= base < r.phys_end]
+    with open(paths["dump"], "r+b") as fh:
+        fh.seek(region.file_offset + base - region.phys_start + 0x3C)
+        fh.write(struct.pack("<I", 0xFFFF_FFF0))
+    rc = main(["carve", str(paths["dump"]), str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert f"anomaly: carved_image_invalid_pe @ {base:#x}: " in out
+
+
 def test_carve_empty_map_exit_0(tmp_path, capsys):
     blob = tmp_path / "empty-ish.dump"
     blob.write_bytes(bytes(0x1000))
@@ -146,6 +163,30 @@ def test_baseline_guid_flag(fixture_dir, capsys):
     assert "source=override" in out
 
 
+def test_baseline_guid_naming_no_image_exit_1(fixture_dir, capsys):
+    # A GUID that names no loaded image must not turn an infected dump clean.
+    zero = "00000000-0000-0000-0000-000000000000"
+    rc = main(["analyze", str(fixture_dir / "efiguard.dump"), "--baseline-guid", zero])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "verdict" not in captured.out
+    assert f"error: no loaded image has GUID {zero}" in captured.err
+
+
+def test_baseline_guid_accepts_braced_lowercase(fixture_dir, capsys):
+    from uefiforensics.forge import CORE_GUID
+
+    def pointer_findings(argv):
+        rc = main(["analyze", str(fixture_dir / "efiguard.dump"), *argv])
+        out = capsys.readouterr().out
+        return rc, out[out.index("pointer hook findings"):out.index("inline hook findings")]
+
+    rc, braced = pointer_findings(["--baseline-guid", "{" + CORE_GUID.lower() + "}"])
+    assert rc == 2
+    assert "pointer hook findings (2)" in braced
+    assert (rc, braced) == pointer_findings([])
+
+
 def test_exit_code_contract_across_all_builtins(forged):
     from uefiforensics.forge import builtin_scenarios
 
@@ -179,6 +220,7 @@ def test_max_depth_flag(tmp_path, capsys):
     ["analyze", "x.dump", "--prologue-window", "many"],
     ["analyze", "x.dump", "--max-depth", str(MAX_DEPTH_LIMIT + 1)],
     ["analyze", "x.dump", "--prologue-window", str(PROLOGUE_WINDOW_LIMIT + 1)],
+    ["analyze", "x.dump", "--baseline-guid", "not-a-guid"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:

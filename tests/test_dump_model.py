@@ -247,9 +247,7 @@ def test_find_signature_single_hit():
     buf = bytearray(0x2000)
     buf[0x1000:0x1008] = b"BOOTSERV"
     dump = MemoryDump.from_regions([(0, bytes(buf))])
-    hits = dump.find_signature(b"BOOTSERV")
-    assert [h.addr for h in hits] == [0x1000]
-    assert hits[0].signature == b"BOOTSERV"
+    assert dump.find_signature(b"BOOTSERV") == [0x1000]
 
 
 def test_find_signature_absent_and_sorted():
@@ -258,7 +256,7 @@ def test_find_signature_absent_and_sorted():
     buf[0x80:0x84] = b"ldri"
     dump = MemoryDump.from_regions([(0, bytes(buf))])
     assert dump.find_signature(b"RUNTSERV") == []
-    assert [h.addr for h in dump.find_signature(b"ldri")] == [0x80, 0x100]
+    assert dump.find_signature(b"ldri") == [0x80, 0x100]
 
 
 def test_find_signature_respects_alignment():
@@ -266,7 +264,7 @@ def test_find_signature_respects_alignment():
     buf[0x11:0x19] = b"BOOTSERV"  # unaligned
     dump = MemoryDump.from_regions([(0, bytes(buf))])
     assert dump.find_signature(b"BOOTSERV") == []
-    assert [h.addr for h in dump.find_signature(b"BOOTSERV", alignment=1)] == [0x11]
+    assert dump.find_signature(b"BOOTSERV", alignment=1) == [0x11]
 
 
 def test_find_signature_across_region_boundary():
@@ -274,7 +272,7 @@ def test_find_signature_across_region_boundary():
     left = bytes(0x100 - 2) + b"ld"
     right = b"ri" + bytes(0x100 - 2)
     dump = MemoryDump.from_regions([(0, left), (0x100, right)])
-    assert [h.addr for h in dump.find_signature(b"ldri", alignment=1)] == [0xFE]
+    assert dump.find_signature(b"ldri", alignment=1) == [0xFE]
 
 
 def test_find_signature_agrees_with_brute_force_on_sparse_dump():
@@ -282,22 +280,22 @@ def test_find_signature_agrees_with_brute_force_on_sparse_dump():
     dump = MemoryDump.from_regions([(s, b) for s, b in pieces])
     flat = dump.read_bytes(0, dump.total_span)
     for alignment in (1, 2, 4):
-        got = [h.addr for h in dump.find_signature(b"ldri", alignment)]
+        got = dump.find_signature(b"ldri", alignment)
         assert got == brute_force_find(flat, b"ldri", alignment)
 
 
 def test_find_all_zero_signature_includes_gaps():
     dump = MemoryDump.from_regions([(0, b"\xFF" * 8), (0x20, b"\xFF" * 8)])
     flat = dump.read_bytes(0, dump.total_span)
-    got = [h.addr for h in dump.find_signature(bytes(4), alignment=1)]
+    got = dump.find_signature(bytes(4), alignment=1)
     assert got == brute_force_find(flat, bytes(4), 1)
 
 
 def test_scan_soundness(forged):
     dump = forged("clean").dump
     for sig in (b"BOOTSERV", b"RUNTSERV", b"DXE_SERV", b"ldri"):
-        for hit in dump.find_signature(sig):
-            assert dump.read_bytes(hit.addr, len(sig)) == sig
+        for addr in dump.find_signature(sig):
+            assert dump.read_bytes(addr, len(sig)) == sig
 
 
 def test_determinism(tmp_path):
@@ -310,6 +308,4 @@ def test_determinism(tmp_path):
     b = load_dump(paths["dump"], paths["map"])
     assert a.regions == b.regions
     assert a.read_bytes(0, a.total_span) == b.read_bytes(0, b.total_span)
-    assert [h.addr for h in a.find_signature(b"ldri")] == [
-        h.addr for h in b.find_signature(b"ldri")
-    ]
+    assert a.find_signature(b"ldri") == b.find_signature(b"ldri")

@@ -44,60 +44,60 @@ from helpers import sext
 
 
 def test_decode_call_rel32():
-    d = decode_instruction(bytes.fromhex("E800100000") + bytes(11), 0x1000)
-    assert d.kind == "transfer"
-    t = d.transfer
-    assert t.kind is TransferKind.CALL_RELATIVE
-    assert t.length == 5
-    assert t.target == 0x2005  # 0x1000 + 5 + 0x1000
+    length, kind, target, slot = decode_instruction(bytes.fromhex("E800100000") + bytes(11), 0x1000)
+    assert kind is TransferKind.CALL_RELATIVE
+    assert length == 5
+    assert target == 0x2005  # 0x1000 + 5 + 0x1000
+    assert slot is None
 
 
 def test_decode_self_jump():
-    t = decode_instruction(b"\xEB\xFE" + bytes(14), 0x1000).transfer
-    assert t.kind is TransferKind.JMP_RELATIVE
-    assert t.length == 2
-    assert t.target == 0x1000
+    length, kind, target, _ = decode_instruction(b"\xEB\xFE" + bytes(14), 0x1000)
+    assert kind is TransferKind.JMP_RELATIVE
+    assert length == 2
+    assert target == 0x1000
 
 
 def test_decode_jmp_rel32_negative_displacement():
-    t = decode_instruction(b"\xE9" + struct.pack("<i", -0x20) + bytes(11), 0x5000).transfer
-    assert t.target == 0x5000 + 5 - 0x20
+    _, _, target, _ = decode_instruction(b"\xE9" + struct.pack("<i", -0x20) + bytes(11), 0x5000)
+    assert target == 0x5000 + 5 - 0x20
 
 
 def test_decode_jcc_short_and_long():
-    t = decode_instruction(b"\x74\x10" + bytes(14), 0x100).transfer
-    assert t.kind is TransferKind.JCC_RELATIVE and t.length == 2 and t.target == 0x112
-    t = decode_instruction(b"\x0F\x85" + struct.pack("<i", 0x40) + bytes(10), 0x100).transfer
-    assert t.kind is TransferKind.JCC_RELATIVE and t.length == 6 and t.target == 0x146
+    length, kind, target, _ = decode_instruction(b"\x74\x10" + bytes(14), 0x100)
+    assert kind is TransferKind.JCC_RELATIVE and length == 2 and target == 0x112
+    length, kind, target, _ = decode_instruction(
+        b"\x0F\x85" + struct.pack("<i", 0x40) + bytes(10), 0x100
+    )
+    assert kind is TransferKind.JCC_RELATIVE and length == 6 and target == 0x146
 
 
 def test_decode_rex_prefixed_transfer():
-    t = decode_instruction(b"\x48\xE9" + struct.pack("<i", 8) + bytes(10), 0x0).transfer
-    assert t.kind is TransferKind.JMP_RELATIVE and t.length == 6 and t.target == 6 + 8
+    length, kind, target, _ = decode_instruction(b"\x48\xE9" + struct.pack("<i", 8) + bytes(10), 0)
+    assert kind is TransferKind.JMP_RELATIVE and length == 6 and target == 6 + 8
 
 
 def test_decode_indirect_register_unresolved():
-    t = decode_instruction(b"\xFF\xE0" + bytes(14), 0x10).transfer
-    assert t.kind is TransferKind.JMP_INDIRECT
-    assert t.length == 2
-    assert t.target is None and t.indirect_slot is None
-    t = decode_instruction(b"\xFF\xD1" + bytes(14), 0x10).transfer
-    assert t.kind is TransferKind.CALL_INDIRECT
+    length, kind, target, slot = decode_instruction(b"\xFF\xE0" + bytes(14), 0x10)
+    assert kind is TransferKind.JMP_INDIRECT
+    assert length == 2
+    assert target is None and slot is None
+    _, kind, _, _ = decode_instruction(b"\xFF\xD1" + bytes(14), 0x10)
+    assert kind is TransferKind.CALL_INDIRECT
 
 
 def test_decode_indirect_rip_relative_reports_slot():
     window = b"\xFF\x25" + struct.pack("<i", 0x100) + bytes(10)
-    t = decode_instruction(window, 0x2000).transfer
-    assert t.kind is TransferKind.JMP_INDIRECT
-    assert t.length == 6
-    assert t.indirect_slot == 0x2000 + 6 + 0x100
+    length, kind, _, slot = decode_instruction(window, 0x2000)
+    assert kind is TransferKind.JMP_INDIRECT
+    assert length == 6
+    assert slot == 0x2000 + 6 + 0x100
 
 
 def test_decode_ret_and_skip_lengths():
     # The forge stub pool's skip lengths are checked in test_decoder_differential.
-    assert decode_instruction(b"\xC3" + bytes(15), 0).kind == "ret"
-    ret_imm = decode_instruction(b"\xC2\x08\x00" + bytes(13), 0)
-    assert ret_imm.kind == "ret" and ret_imm.length == 3
+    assert decode_instruction(b"\xC3" + bytes(15), 0)[1] == "ret"
+    assert decode_instruction(b"\xC2\x08\x00" + bytes(13), 0)[:2] == (3, "ret")
     for encoding, length in (
         ("48B8" + "00" * 8, 10),  # mov rax, imm64
         ("F30F1EFA", 4),          # endbr64
@@ -111,7 +111,7 @@ def test_decode_ret_and_skip_lengths():
         ("F2F32E48818424" + "00" * 8, 15),  # add qword [rsp+0], 0 with 3 prefixes
     ):
         d = decode_instruction(bytes.fromhex(encoding) + bytes(16), 0)
-        assert d is not None and d.kind == "skip" and d.length == length, encoding
+        assert d is not None and d[:2] == (length, "skip"), encoding
 
 
 def test_decode_opaque():
@@ -164,12 +164,14 @@ def test_scan_prologue_immediate_ret():
     scan = scan_prologue(make_code_dump(b"\xC3"), 0x1000)
     assert scan.transfers == ()
     assert scan.stop_reason == STOP_RET
+    assert scan.end_addr == 0x1001  # the ret is consumed
 
 
 def test_scan_prologue_opaque_stop():
     scan = scan_prologue(make_code_dump(b"\x0F\x0B"), 0x1000)
     assert scan.transfers == ()
     assert scan.stop_reason == STOP_OPAQUE
+    assert scan.end_addr == 0x1000  # opaque bytes are not consumed
 
 
 def test_scan_prologue_stops_after_unconditional_jmp():
@@ -178,6 +180,7 @@ def test_scan_prologue_stops_after_unconditional_jmp():
     scan = scan_prologue(make_code_dump(code), 0x1000)
     assert [t.kind for t in scan.transfers] == [TransferKind.JMP_RELATIVE]
     assert scan.stop_reason == STOP_JMP
+    assert scan.end_addr == 0x1005
 
 
 def test_scan_prologue_continues_past_conditional():
@@ -194,6 +197,7 @@ def test_scan_prologue_window_bound():
     scan = scan_prologue(make_code_dump(code), 0x1000, window=32)
     assert scan.transfers == ()
     assert scan.stop_reason == STOP_WINDOW
+    assert scan.end_addr == 0x1020
     wide = scan_prologue(make_code_dump(code), 0x1000, window=64)
     assert len(wide.transfers) == 1
 
@@ -377,7 +381,7 @@ def test_decoder_lengths_match_forge_listings(forged):
                 window = dump.read_bytes(at, 16)
                 decoded = decode_instruction(window, at)
                 assert decoded is not None, f"{name}:{key} opaque at {at:#x}"
-                assert decoded.length == length, f"{name}:{key} at {at:#x}"
+                assert decoded[0] == length, f"{name}:{key} at {at:#x}"
                 assert window[:length].hex() == encoding
 
 
