@@ -41,55 +41,24 @@ class CarvedImage:
     sha256: str
 
 
-class _ImageBytes:
-    """An image's bytes in a dump, read on demand by slice.
+def read_pe_header(dump: MemoryDump, base: PhysAddr, size: int) -> tuple[bool, int, int | None]:
+    """An image's (valid, machine, SizeOfImage): its DOS and PE headers, read up to ``size``.
 
-    ``validate_pe`` and ``_size_of_image`` take one in place of ``bytes``, so
-    checking a header reads the header, not the whole image.
+    Invalid: under 0x40 bytes, no ``MZ``, or ``e_lfanew + 6`` past the image
+    or no ``PE\\0\\0`` there. ``SizeOfImage`` is None when it lies past the image.
     """
-
-    def __init__(self, dump: MemoryDump, base: PhysAddr, size: int):
-        self._dump, self._base, self._size = dump, base, size
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, key: slice) -> bytes:
-        start, stop, _ = key.indices(self._size)
-        return self._dump.read_bytes(self._base + start, stop - start) if stop > start else b""
-
-
-def _e_lfanew(data) -> int | None:
-    """Offset of the PE header named by an MZ DOS header, or None."""
-    if len(data) < 0x40:
-        return None
-    dos = data[:0x40]
-    return int.from_bytes(dos[0x3C:0x40], "little") if dos[:2] == b"MZ" else None
-
-
-def validate_pe(data) -> tuple[bool, int]:
-    """Check MZ magic and the PE signature chain; return (valid, machine).
-
-    ``data`` is the image as ``bytes`` or as anything with ``len`` and
-    slicing (the carver reads the dump on demand); only the DOS header and
-    the six bytes at ``e_lfanew`` are read.
-    """
-    e_lfanew = _e_lfanew(data)
-    if e_lfanew is None or e_lfanew + 6 > len(data):
-        return False, 0
-    pe = data[e_lfanew:e_lfanew + 6]
+    if size < 0x40:
+        return False, 0, None
+    dos = dump.read_bytes(base, 0x40)
+    e_lfanew = int.from_bytes(dos[0x3C:0x40], "little")
+    if dos[:2] != b"MZ" or e_lfanew + 6 > size:
+        return False, 0, None
+    pe = dump.read_bytes(base + e_lfanew, min(SIZE_OF_IMAGE_OFFSET + 4, size - e_lfanew))
     if pe[:4] != PE_SIGNATURE:
-        return False, 0
-    return True, int.from_bytes(pe[4:6], "little")
-
-
-def _size_of_image(data) -> int | None:
-    """The optional header's ``SizeOfImage``, or None when it lies past the image."""
-    e_lfanew = _e_lfanew(data)
-    if e_lfanew is None or e_lfanew + SIZE_OF_IMAGE_OFFSET + 4 > len(data):
-        return None
-    field = e_lfanew + SIZE_OF_IMAGE_OFFSET
-    return int.from_bytes(data[field:field + 4], "little")
+        return False, 0, None
+    field = pe[SIZE_OF_IMAGE_OFFSET:]
+    size_of_image = int.from_bytes(field, "little") if len(field) == 4 else None
+    return True, int.from_bytes(pe[4:6], "little"), size_of_image
 
 
 def _sanitize_name(identity: ImageIdentity) -> str:
@@ -133,14 +102,13 @@ def carve_images(
     carved: list[CarvedImage] = []
     anomalies: list[Anomaly] = []
     used_names: set[str] = set()
-    for record in sorted(image_map.records, key=lambda r: (r.image_base, r.record_addr)):
+    for record in image_map.records:
         try:
             chunks = dump.iter_range(record.image_base, record.image_size)
         except OutOfBoundsRead as exc:
             anomalies.append(Anomaly("carve_skipped", record.image_base, str(exc)))
             continue
-        image = _ImageBytes(dump, record.image_base, record.image_size)
-        pe_valid, machine = validate_pe(image)
+        pe_valid, machine, pe_size = read_pe_header(dump, record.image_base, record.image_size)
         if not pe_valid:
             anomalies.append(
                 Anomaly(
@@ -149,17 +117,15 @@ def carve_images(
                     f"{record.identity.label}: bytes at image base fail PE validation",
                 )
             )
-        else:
-            pe_size = _size_of_image(image)
-            if pe_size is not None and pe_size != record.image_size:
-                anomalies.append(
-                    Anomaly(
-                        "carved_image_size_mismatch",
-                        record.image_base,
-                        f"{record.identity.label}: ldri image_size {record.image_size:#x} "
-                        f"!= PE SizeOfImage {pe_size:#x}",
-                    )
+        elif pe_size is not None and pe_size != record.image_size:
+            anomalies.append(
+                Anomaly(
+                    "carved_image_size_mismatch",
+                    record.image_base,
+                    f"{record.identity.label}: ldri image_size {record.image_size:#x} "
+                    f"!= PE SizeOfImage {pe_size:#x}",
                 )
+            )
         name = _unique_name(_sanitize_name(record.identity), used_names)
         digest = hashlib.sha256()
         with open(out_dir / name, "wb") as fh:

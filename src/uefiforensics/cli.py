@@ -24,6 +24,7 @@ from .forge import ForgeError, build_scenario, builtin_scenarios, scenario_by_na
 from .image_registry import scan_loaded_images
 from .inline_hooks import DEFAULT_MAX_DEPTH, DEFAULT_PROLOGUE_WINDOW
 from .inline_hooks import MAX_DEPTH_LIMIT, PROLOGUE_WINDOW_LIMIT
+from .pointer_hooks import BaselineError
 from .report import (
     EXIT_CLEAN,
     EXIT_ERROR,
@@ -132,9 +133,6 @@ def _load(args):
 def cmd_analyze(args) -> int:
     dump, options = _load(args)
     report = analyze_dump(dump, options)
-    if options.baseline_guid and report.image_map.by_guid(options.baseline_guid) is None:
-        print(f"error: no loaded image has GUID {options.baseline_guid}", file=sys.stderr)
-        return EXIT_ERROR
     sys.stdout.write(render_text(report))
     if args.json:
         Path(args.json).write_text(
@@ -199,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DumpLoadError, ForgeError, OSError) as exc:
+    except (BaselineError, DumpLoadError, ForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -24,6 +24,7 @@ import struct
 import uuid
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .dump_model import Anomaly, MemoryDump, OutOfBoundsRead, PhysAddr
 
@@ -70,18 +71,21 @@ def format_guid(raw: bytes) -> str:
 
 
 class ImageMap:
-    """Loaded images indexed by address range; immutable after build."""
+    """Loaded images indexed by address range; immutable after build.
+
+    ``records`` are in (image_base, record_addr) order, as reported and carved.
+    """
 
     def __init__(self, records, anomalies=()):
         self.records: tuple[LoadedImageRecord, ...] = tuple(
             sorted(records, key=lambda r: (r.image_base, r.record_addr))
         )
         self._bases = [r.image_base for r in self.records]
-        self._has_overlap = False
+        # Running maximum of image_end: non-decreasing, so bisectable.
+        self._max_ends = list(accumulate((r.image_end for r in self.records), max))
         anomalies = list(anomalies)
         for prev, cur in zip(self.records, self.records[1:]):
             if cur.image_base < prev.image_end:
-                self._has_overlap = True
                 anomalies.append(
                     Anomaly(
                         "image_overlap",
@@ -94,27 +98,11 @@ class ImageMap:
     def __len__(self) -> int:
         return len(self.records)
 
-    def owners(self, addr: PhysAddr) -> list[LoadedImageRecord]:
-        """All records whose [base, base+size) contains addr, by base."""
-        i = bisect_right(self._bases, addr) - 1
-        if not self._has_overlap:
-            # Disjoint ranges: only the record straddling the insertion
-            # point can contain addr.
-            if i >= 0 and self.records[i].contains(addr):
-                return [self.records[i]]
-            return []
-        out = []
-        while i >= 0:
-            if self.records[i].contains(addr):
-                out.append(self.records[i])
-            i -= 1
-        out.reverse()
-        return out
-
     def resolve_owner(self, addr: PhysAddr) -> LoadedImageRecord | None:
         """The owning record (lowest base when ranges overlap), or None."""
-        owners = self.owners(addr)
-        return owners[0] if owners else None
+        # Record j is the first to end past addr: it owns addr if any record does.
+        j = bisect_right(self._max_ends, addr)
+        return self.records[j] if j < bisect_right(self._bases, addr) else None
 
     def by_guid(self, guid: str) -> LoadedImageRecord | None:
         wanted = guid.upper()

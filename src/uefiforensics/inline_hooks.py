@@ -237,7 +237,8 @@ def scan_prologue(
     """Linear sweep from ``function_addr``, collecting control transfers.
 
     Stops at the first of: window exhausted, a return, an unconditional
-    jmp (the sweep cannot soundly continue past it), or opaque bytes.
+    jmp (the sweep cannot soundly continue past it), or opaque bytes. An
+    instruction that runs past the end of the dump is opaque.
     Conditional branches do not stop the sweep (fallthrough is reachable).
     RIP-relative indirect targets are resolved through the dump when the
     pointer slot is mapped.
@@ -256,7 +257,8 @@ def scan_prologue(
     while cursor < window:
         at = function_addr + cursor
         decoded = decode_instruction(code[cursor:cursor + DECODE_WINDOW], at)
-        if decoded is None:
+        # Opaque bytes, or an instruction running into the padding past the dump end.
+        if decoded is None or cursor + decoded[0] > avail:
             stop = STOP_OPAQUE
             break
         length, kind, target, slot = decoded

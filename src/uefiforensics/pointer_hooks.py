@@ -28,7 +28,7 @@ SEVERITY_ANOMALOUS = "anomalous"    # pointer lands in no loaded image at all
 
 
 class BaselineError(Exception):
-    """No ownership baseline could be established for a table."""
+    """No ownership baseline for a table, or no loaded image has the override GUID."""
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,16 @@ class PointerHookFinding:
 def infer_baseline(
     table: ServiceTable,
     image_map: ImageMap,
-    override_guid: str | None = None,
+    override: LoadedImageRecord | None = None,
 ) -> OwnershipBaseline:
     """Choose the baseline image for a table.
 
     Strict majority of non-null pointers wins with high confidence;
     otherwise the plurality image is chosen and flagged low-confidence.
-    ``override_guid`` short-circuits inference entirely.
+    An ``override`` record short-circuits inference entirely.
     """
-    if override_guid is not None:
-        record = image_map.by_guid(override_guid)
-        if record is None:
-            raise BaselineError(f"override GUID {override_guid} matches no loaded image")
-        return OwnershipBaseline(table.kind, record, confidence="high", source="override")
+    if override is not None:
+        return OwnershipBaseline(table.kind, override, confidence="high", source="override")
 
     non_null = [e for e in table.entries if e.pointer != 0]
     counts: Counter[LoadedImageRecord] = Counter()

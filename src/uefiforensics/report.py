@@ -107,10 +107,18 @@ def content_sha256(dump: MemoryDump) -> str:
 
 
 def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> AnalysisReport:
-    """Run parse -> detect -> (optionally) carve over a loaded dump."""
+    """Run parse -> detect -> (optionally) carve over a loaded dump.
+
+    A ``baseline_guid`` naming no loaded image raises ``BaselineError`` first.
+    """
     options = options or AnalysisOptions()
-    tables, table_anomalies = locate_tables(dump, alignment=options.scan_alignment)
     image_map = scan_loaded_images(dump, alignment=options.scan_alignment)
+    override = None
+    if options.baseline_guid is not None:
+        override = image_map.by_guid(options.baseline_guid)
+        if override is None:
+            raise BaselineError(f"no loaded image has GUID {options.baseline_guid}")
+    tables, table_anomalies = locate_tables(dump, alignment=options.scan_alignment)
     anomalies = list(table_anomalies) + list(image_map.anomalies)
 
     table_reports: list[TableReport] = []
@@ -124,7 +132,7 @@ def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> An
         baseline = None
         baseline_error = None
         try:
-            baseline = infer_baseline(table, image_map, options.baseline_guid)
+            baseline = infer_baseline(table, image_map, override)
         except BaselineError as exc:
             baseline_error = str(exc)
             anomalies.append(Anomaly("no_baseline", table.table_addr, str(exc)))
@@ -139,7 +147,6 @@ def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> An
             )
         )
 
-    table_reports.sort(key=lambda tr: (_KIND_RANK[tr.table.kind], tr.table.table_addr))
     pointer_findings.sort(key=lambda f: (_KIND_RANK[f.table_kind], f.service_index))
     inline_findings.sort(
         key=lambda f: (_KIND_RANK[f.table_kind], f.service_name, f.hook_addr)

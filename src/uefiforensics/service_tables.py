@@ -261,7 +261,8 @@ def locate_tables(
 ) -> tuple[list[ServiceTable], list[Anomaly]]:
     """Locate and parse all service tables, collecting parse anomalies.
 
-    Candidates that fail validation are reported, not raised. Multiple
+    Candidates that fail validation are reported, not raised. Tables come
+    back in (kind, address) order, which the report keeps. Multiple
     validated tables of one kind are all returned and flagged; a kind with
     no validated table is flagged as missing.
     """

@@ -77,6 +77,11 @@ def brute_force_owners(records, addr):
     return [r for r in records if r.image_base <= addr < r.image_base + r.image_size]
 
 
+def brute_force_owner(records, addr):
+    """The first entry of ``brute_force_owners``, or None."""
+    return next(iter(brute_force_owners(records, addr)), None)
+
+
 def sext(value: int, bits: int) -> int:
     sign = 1 << (bits - 1)
     return (value & (sign - 1)) - (value & sign)

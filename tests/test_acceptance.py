@@ -28,7 +28,7 @@ from uefiforensics.inline_hooks import TransferKind
 from uefiforensics.report import AnalysisOptions, analyze_dump
 from uefiforensics.service_tables import crc32_ieee, parse_table
 
-from helpers import brute_force_owners, random_scenario, sext
+from helpers import brute_force_owner, random_scenario, sext
 
 
 def pointer_set(report):
@@ -206,7 +206,7 @@ def test_c10_structural_laws_over_randomized_dumps():
         probes += [rng.randrange(dump.total_span) for _ in range(8)]
         for addr in probes:
             if 0 <= addr < dump.total_span:
-                assert image_map.owners(addr) == brute_force_owners(image_map.records, addr)
+                assert image_map.resolve_owner(addr) == brute_force_owner(image_map.records, addr)
 
         # Oracle completeness: detector output equals the injected sets.
         report = analyze_dump(dump)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from uefiforensics.carver import MANIFEST_NAME, PE_SIGNATURE, carve_images, validate_pe
+from uefiforensics.carver import MANIFEST_NAME, PE_SIGNATURE, carve_images, read_pe_header
 from uefiforensics.dump_model import MemoryDump
 from uefiforensics.forge import build_minimal_pe, build_scenario, scenario_by_name
 from uefiforensics.image_registry import (
@@ -178,16 +178,21 @@ def test_ordering_by_image_base(tmp_path, forged):
     assert bases == sorted(bases)
 
 
+def pe_header(data: bytes):
+    """``read_pe_header`` over ``data`` at address 0; a spare byte makes ``b""`` a dump."""
+    return read_pe_header(MemoryDump.from_regions([(0, data + bytes(1))]), 0, len(data))
+
+
 def test_validate_pe_rejects_bad_offsets():
-    assert validate_pe(b"MZ" + bytes(0x100)) == (False, 0)
+    assert pe_header(b"MZ" + bytes(0x100))[:2] == (False, 0)
     data = bytearray(0x200)
     data[:2] = b"MZ"
     struct.pack_into("<I", data, 0x3C, 0x1000)  # e_lfanew beyond buffer
-    assert validate_pe(bytes(data)) == (False, 0)
-    assert validate_pe(b"") == (False, 0)
+    assert pe_header(bytes(data))[:2] == (False, 0)
+    assert pe_header(b"")[:2] == (False, 0)
 
 
 def test_validate_pe_accepts_minimal_build():
     pe = bytes(build_minimal_pe(0x1000))
-    valid, machine = validate_pe(pe)
+    valid, machine, _ = pe_header(pe)
     assert valid and machine == 0x8664

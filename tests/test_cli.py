@@ -173,6 +173,16 @@ def test_baseline_guid_naming_no_image_exit_1(fixture_dir, capsys):
     assert f"error: no loaded image has GUID {zero}" in captured.err
 
 
+def test_baseline_guid_naming_no_image_carves_nothing(fixture_dir, tmp_path, capsys):
+    zero = "00000000-0000-0000-0000-000000000000"
+    carve_dir = tmp_path / "carved"
+    rc = main(["analyze", str(fixture_dir / "efiguard.dump"), "--baseline-guid", zero,
+               "--carve-out", str(carve_dir)])
+    assert rc == 1
+    assert f"error: no loaded image has GUID {zero}" in capsys.readouterr().err
+    assert not carve_dir.exists()
+
+
 def test_baseline_guid_accepts_braced_lowercase(fixture_dir, capsys):
     from uefiforensics.forge import CORE_GUID
 

@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from uefiforensics.carver import validate_pe
-from uefiforensics.dump_model import load_dump
+from uefiforensics.carver import read_pe_header
+from uefiforensics.dump_model import MemoryDump, load_dump
 from uefiforensics.forge import (
     COMPACT_GEOMETRY,
     CORE_GUID,
@@ -37,7 +37,7 @@ def test_minimal_pe_format():
     e_lfanew = struct.unpack_from("<I", pe, 0x3C)[0]
     assert pe[e_lfanew:e_lfanew + 4] == b"PE\x00\x00"
     assert struct.unpack_from("<H", pe, e_lfanew + 4)[0] == 0x8664
-    assert validate_pe(pe) == (True, 0x8664)
+    assert read_pe_header(MemoryDump.from_regions([(0, pe)]), 0, len(pe))[:2] == (True, 0x8664)
 
 
 def test_minimal_pe_deterministic():

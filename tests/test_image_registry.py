@@ -1,5 +1,7 @@
 import struct
 
+from hypothesis import given, settings, strategies as st
+
 from uefiforensics.dump_model import MemoryDump
 from uefiforensics.forge import COSMICSTRAND_GUID, EFIGUARD_PATH
 from uefiforensics.image_registry import (
@@ -10,7 +12,7 @@ from uefiforensics.image_registry import (
     scan_loaded_images,
 )
 
-from helpers import brute_force_owners
+from helpers import brute_force_owner, brute_force_owners
 
 
 def test_scan_finds_planted_records(forged):
@@ -96,13 +98,13 @@ def test_resolve_owner_bounds(forged):
     record = image_map.records[0]
     assert image_map.resolve_owner(record.image_base) == record
     assert image_map.resolve_owner(record.image_end) != record
-    assert image_map.owners(record.image_end - 1) == [record]
+    assert image_map.resolve_owner(record.image_end - 1) == record
 
 
 def test_resolve_owner_outside_any_image(forged):
     image_map = scan_loaded_images(forged("clean").dump)
     assert image_map.resolve_owner(0x10) is None
-    assert image_map.owners(0x10) == []
+    assert image_map.resolve_owner(0x10) == brute_force_owner(image_map.records, 0x10)
 
 
 def test_resolve_owner_matches_brute_force(forged):
@@ -116,7 +118,7 @@ def test_resolve_owner_matches_brute_force(forged):
             record.image_end - 1, record.image_end,
         ]
     for addr in probes:
-        assert image_map.owners(addr) == brute_force_owners(image_map.records, addr)
+        assert image_map.resolve_owner(addr) == brute_force_owner(image_map.records, addr)
 
 
 def test_overlapping_images_flagged_not_merged():
@@ -125,8 +127,31 @@ def test_overlapping_images_flagged_not_merged():
     image_map = ImageMap([a, b])
     assert len(image_map) == 2
     assert any(an.kind == "image_overlap" for an in image_map.anomalies)
-    assert image_map.owners(0x1300) == [a, b]
+    assert brute_force_owners(image_map.records, 0x1300) == [a, b]
     assert image_map.resolve_owner(0x1300) == a
+
+
+# Small bases and sizes, so ranges overlap, nest and share bases; a small
+# record_addr range also gives records equal sort keys.
+overlapping_records = st.lists(
+    st.tuples(st.integers(0, 0x40), st.integers(1, 0x30), st.integers(0, 3)),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlapping_records, st.lists(st.integers(0, 0x80), max_size=8))
+def test_resolve_owner_matches_brute_force_with_overlaps(ranges, extra_probes):
+    image_map = ImageMap([
+        LoadedImageRecord(record_addr, base, size, ImageIdentity(file_path=f"\\{i}.efi"))
+        for i, (base, size, record_addr) in enumerate(ranges)
+    ])
+    probes = list(extra_probes)
+    for record in image_map.records:
+        probes += [record.image_base, record.image_end, record.image_end - 1]
+    for addr in probes:
+        expected = brute_force_owner(image_map.records, addr)
+        assert image_map.resolve_owner(addr) == expected, hex(addr)
 
 
 def test_scan_determinism(forged):

@@ -205,7 +205,17 @@ def test_scan_prologue_window_bound():
 def test_scan_prologue_zero_pads_at_dump_edge():
     dump = make_code_dump(b"\x90\x90", at=0xFFE, span=0x1000)
     scan = scan_prologue(dump, 0xFFE)
-    assert scan.stop_reason == STOP_WINDOW  # trailing zeros decode as skips
+    assert scan.stop_reason == STOP_OPAQUE  # the zero padding past the end is not code
+    assert scan.end_addr == 0x1000
+
+
+def test_scan_prologue_call_cut_by_dump_end_is_opaque():
+    # call rel32 whose displacement lies past the end of a 0x100-byte dump
+    dump = make_code_dump(b"\x90\x90\x90\xE8", at=0xFC, span=0x100)
+    scan = scan_prologue(dump, 0xFC)
+    assert scan.transfers == ()
+    assert scan.stop_reason == STOP_OPAQUE
+    assert scan.end_addr == 0xFF
 
 
 def test_scan_prologue_unreadable_address():

@@ -17,19 +17,20 @@ from uefiforensics.pointer_hooks import (
     detect_pointer_hooks,
     infer_baseline,
 )
+from uefiforensics.report import AnalysisOptions, analyze_dump
 from uefiforensics.service_tables import TableKind, locate_tables
 
 from helpers import random_guid
 from random import Random
 
 
-def analyze_pointers(scenario, override_guid=None):
+def analyze_pointers(scenario, override=None):
     dump = scenario.dump
     tables, _ = locate_tables(dump)
     image_map = scan_loaded_images(dump)
     findings = []
     for table in tables:
-        baseline = infer_baseline(table, image_map, override_guid)
+        baseline = infer_baseline(table, image_map, override)
         findings.extend(detect_pointer_hooks(table, image_map, baseline))
     return findings
 
@@ -62,17 +63,16 @@ def test_explicit_override_wins(forged):
     tables, _ = locate_tables(scenario.dump)
     image_map = scan_loaded_images(scenario.dump)
     boot = next(t for t in tables if t.kind is TableKind.BOOT)
-    baseline = infer_baseline(boot, image_map, override_guid=COSMICSTRAND_GUID)
+    baseline = infer_baseline(boot, image_map, override=image_map.by_guid(COSMICSTRAND_GUID))
     assert baseline.source == "override"
     assert baseline.image.identity.guid == COSMICSTRAND_GUID
 
 
 def test_unknown_override_guid_is_error(forged):
     scenario = forged("clean")
-    tables, _ = locate_tables(scenario.dump)
-    image_map = scan_loaded_images(scenario.dump)
+    options = AnalysisOptions(baseline_guid=random_guid(Random(1)))
     with pytest.raises(BaselineError):
-        infer_baseline(tables[0], image_map, override_guid=random_guid(Random(1)))
+        analyze_dump(scenario.dump, options)
 
 
 def test_plurality_without_majority_is_low_confidence():
