@@ -5,7 +5,9 @@ orphan MZ blob with no record is never carved. Each image is written
 exactly as it lies in memory (image_size bytes from image_base); no
 attempt is made to reconstruct the on-disk file layout. Images stream from
 the dump in region slices and bounded zero runs, hashed as they are
-written, so memory stays bounded whatever size a record claims.
+written, so memory stays bounded whatever size a record claims. Gap bytes
+are seeked over, not written, so the file is sparse and disk use is bounded
+by the mapped bytes the record covers.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,8 +133,12 @@ def carve_images(
         digest = hashlib.sha256()
         with open(out_dir / name, "wb") as fh:
             for chunk in chunks:
-                fh.write(chunk)
                 digest.update(chunk)
+                if isinstance(chunk, bytes):  # a gap's zero run: leave a hole
+                    fh.seek(len(chunk), os.SEEK_CUR)
+                else:
+                    fh.write(chunk)
+            fh.truncate()
         carved.append(
             CarvedImage(
                 identity=record.identity,

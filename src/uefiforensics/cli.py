@@ -14,7 +14,6 @@ import logging
 import os
 import sys
 import uuid
-from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -69,17 +68,10 @@ def guid(text: str) -> str:
     return str(uuid.UUID(text)).upper()
 
 
-# Flag destinations are AnalysisOptions field names, so _load can pass them on.
 def _add_dump_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("dump", help="raw memory dump file")
     parser.add_argument("--map", dest="map_path", metavar="MAP",
                         help="region-map sidecar (default: <dump>.map.json if present)")
-    parser.add_argument(
-        "--scan-unaligned",
-        dest="unaligned_scan",
-        action="store_true",
-        help="signature-scan every byte offset instead of natural alignment",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,16 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args):
-    """The command's AnalysisOptions (flags it lacks keep their defaults) and its dump."""
-    options = AnalysisOptions(
-        **{f.name: getattr(args, f.name) for f in fields(AnalysisOptions) if hasattr(args, f.name)}
-    )
-    return load_dump(args.dump, options.map_path), options
-
-
 def cmd_analyze(args) -> int:
-    dump, options = _load(args)
+    dump = load_dump(args.dump, args.map_path)
+    options = AnalysisOptions(baseline_guid=args.baseline_guid,
+                              prologue_window=args.prologue_window,
+                              max_depth=args.max_depth, carve_dir=args.carve_dir)
     report = analyze_dump(dump, options)
     sys.stdout.write(render_text(report))
     if args.json:
@@ -142,8 +129,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_carve(args) -> int:
-    dump, options = _load(args)
-    image_map = scan_loaded_images(dump, alignment=options.scan_alignment)
+    dump = load_dump(args.dump, args.map_path)
+    image_map = scan_loaded_images(dump)
     carved, anomalies = carve_images(dump, image_map, args.out_dir)
     for image in carved:
         flag = "" if image.pe_valid else "  [invalid PE]"
@@ -156,8 +143,8 @@ def cmd_carve(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    dump, options = _load(args)
-    tables, anomalies = locate_tables(dump, alignment=options.scan_alignment)
+    dump = load_dump(args.dump, args.map_path)
+    tables, anomalies = locate_tables(dump)
     for table in tables:
         h = table.header
         print(f"[{table.kind.value} services table @ {table.table_addr:#x}]")

@@ -20,8 +20,6 @@ logger = logging.getLogger(__name__)
 # Physical addresses are plain ints (byte offsets into the physical space).
 PhysAddr = int
 
-SIGNATURE_LENGTHS = (4, 8)
-
 # Longest zero run ``MemoryDump.iter_range`` yields for a gap.
 ZERO_RUN = 1 << 20
 _ZEROS = bytes(ZERO_RUN)
@@ -175,26 +173,19 @@ class MemoryDump:
     def in_span(self, addr: PhysAddr, length: int = 1) -> bool:
         return 0 <= addr and addr + length <= self.total_span
 
-    def find_signature(self, sig: bytes, alignment: int | None = None) -> list[PhysAddr]:
-        """Addresses of every aligned occurrence of ``sig``, in ascending order.
+    def find_signature(self, sig: bytes) -> list[PhysAddr]:
+        """Addresses of every occurrence of ``sig``, at any byte offset, ascending.
 
-        ``alignment`` defaults to the signature length (table structures are
-        naturally aligned allocations); pass 1 to scan every byte offset.
-        Matches straddling region boundaries and, for all-zero signatures,
-        matches lying wholly inside gaps are both honoured, so the result is
-        identical to scanning the fully reassembled image.
+        Matches straddling region boundaries are honoured, so the result is
+        identical to scanning the fully reassembled image. An all-zero
+        ``sig`` is refused: it would also match throughout every gap.
         """
         sig = bytes(sig)
-        if len(sig) not in SIGNATURE_LENGTHS:
-            raise ValueError(f"signature length must be one of {SIGNATURE_LENGTHS}")
-        if alignment is None:
-            alignment = len(sig)
-        if alignment < 1 or alignment & (alignment - 1):
-            raise ValueError("alignment must be a power of two")
+        if not any(sig):
+            raise ValueError("signature must hold a nonzero byte")
 
         pad = len(sig) - 1
         found: set[int] = set()
-        gap_start = 0
         for region in self._regions:
             # Matches inside the region, found where its bytes lie in the file.
             shift = region.phys_start - region.file_offset
@@ -206,12 +197,7 @@ class MemoryDump:
                 lo, hi = max(edge - pad, 0), min(edge + pad, self.total_span)
                 if hi - lo > pad:
                     found.update(lo + pos for pos in _find_all(self.read_bytes(lo, hi - lo), sig))
-            # An all-zero signature also matches wholly inside the gap before.
-            if not any(sig):
-                first = -(-gap_start // alignment) * alignment
-                found.update(range(first, region.phys_start - pad, alignment))
-            gap_start = region.phys_end
-        hits = sorted(addr for addr in found if addr % alignment == 0)
+        hits = sorted(found)
         logger.debug("signature %r: %d hit(s)", sig, len(hits))
         return hits
 

@@ -83,6 +83,7 @@ DECOY_FAKE_LDRI = "fake_ldri"
 
 BOOT_REVISION = 0x0002_0046   # UEFI 2.70
 DXE_REVISION = 0x0001_0028    # PI 1.40
+TABLE_STRIDE = 0x1000         # between service tables; the longest is 376 bytes
 
 # Well-known identities used by the builtin scenarios.
 CORE_GUID = "D6A2CB7F-6A18-4E2F-B43B-9920A733700A"
@@ -133,7 +134,6 @@ class Geometry:
     core_base: int = 0x3E40_0000
     core_size: int = 0x2_0000
     table_base: int = 0x3F00_0000
-    table_stride: int = 0x1000
     ldri_base: int = 0x3F08_0000
     aux_base: int = 0x3F10_0000
     aux_align: int = 0x1_0000
@@ -148,7 +148,6 @@ COMPACT_GEOMETRY = Geometry(
     core_base=0x10_0000,
     core_size=0x8000,
     table_base=0x20_0000,
-    table_stride=0x1000,
     ldri_base=0x20_8000,
     aux_base=0x21_0000,
     aux_align=0x1000,
@@ -694,7 +693,7 @@ def _place(spec: ScenarioSpec) -> tuple[_Layout, dict[str, _PlacedImage]]:
     """Place the tables, the records and every image; write each image's PE headers."""
     geom = spec.geometry
     layout = _Layout(geom)
-    layout.place(geom.table_base, geom.table_stride * len(KIND_ORDER), "service tables")
+    layout.place(geom.table_base, TABLE_STRIDE * len(KIND_ORDER), "service tables")
     layout.place(geom.ldri_base, _ldri_span(spec), "image records")
     placed: dict[str, _PlacedImage] = {}
     auto_base = geom.aux_base
@@ -827,10 +826,8 @@ def _write_tables(layout, spec, stub_addrs, pointer_truths) -> dict[str, TableTr
     truths = {}
     for pos, kind in enumerate(KIND_ORDER):
         names = canonical_layout(kind)
-        addr = geom.table_base + pos * geom.table_stride
+        addr = geom.table_base + pos * TABLE_STRIDE
         header_size = HEADER_LEN + ENTRY_LEN * len(names)
-        if header_size > geom.table_stride:
-            raise ForgeError("table stride too small for entry array")
         revision = DXE_REVISION if kind is TableKind.DXE else BOOT_REVISION
 
         true_pointers = {

@@ -152,7 +152,7 @@ def _parse_record(dump: MemoryDump, addr: PhysAddr) -> LoadedImageRecord:
     return LoadedImageRecord(addr, image_base, image_size, ImageIdentity(guid, file_path))
 
 
-def scan_loaded_images(dump: MemoryDump, alignment: int | None = None) -> ImageMap:
+def scan_loaded_images(dump: MemoryDump) -> ImageMap:
     """Scan for `ldri` records and build the validated image map.
 
     Candidates failing validation (size bounds, MZ magic, identity
@@ -161,7 +161,7 @@ def scan_loaded_images(dump: MemoryDump, alignment: int | None = None) -> ImageM
     """
     records = []
     anomalies = []
-    for addr in dump.find_signature(LDRI_SIGNATURE, alignment):
+    for addr in dump.find_signature(LDRI_SIGNATURE):
         try:
             records.append(_parse_record(dump, addr))
         except (ValueError, OutOfBoundsRead) as exc:

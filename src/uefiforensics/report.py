@@ -47,17 +47,10 @@ _KIND_RANK = {kind: i for i, kind in enumerate(KIND_ORDER)}
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    map_path: str | None = None
     baseline_guid: str | None = None
     prologue_window: int = DEFAULT_PROLOGUE_WINDOW
     max_depth: int = DEFAULT_MAX_DEPTH
     carve_dir: str | None = None
-    unaligned_scan: bool = False
-
-    @property
-    def scan_alignment(self) -> int | None:
-        """1 scans every byte offset; None, each signature's natural alignment."""
-        return 1 if self.unaligned_scan else None
 
 
 @dataclass
@@ -112,13 +105,13 @@ def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> An
     A ``baseline_guid`` naming no loaded image raises ``BaselineError`` first.
     """
     options = options or AnalysisOptions()
-    image_map = scan_loaded_images(dump, alignment=options.scan_alignment)
+    image_map = scan_loaded_images(dump)
     override = None
     if options.baseline_guid is not None:
         override = image_map.by_guid(options.baseline_guid)
         if override is None:
             raise BaselineError(f"no loaded image has GUID {options.baseline_guid}")
-    tables, table_anomalies = locate_tables(dump, alignment=options.scan_alignment)
+    tables, table_anomalies = locate_tables(dump)
     anomalies = list(table_anomalies) + list(image_map.anomalies)
 
     table_reports: list[TableReport] = []

@@ -235,30 +235,23 @@ def parse_table(dump: MemoryDump, kind: TableKind, addr: PhysAddr) -> ServiceTab
     return ServiceTable(kind, addr, header, entries, tuple(flags))
 
 
-def find_table_candidates(
-    dump: MemoryDump, alignment: int | None = None
-) -> list[tuple[TableKind, PhysAddr]]:
+def find_table_candidates(dump: MemoryDump) -> list[tuple[TableKind, PhysAddr]]:
     """Signature-scan for table candidates, in (kind, address) order, unvalidated.
 
     One scan for ``SERV`` finds all three kinds: a hit is a candidate when
-    the 8 bytes starting 4 before it are a table signature, at the address
-    alignment a scan for that signature would use (8 by default).
+    the 8 bytes starting 4 before it are a table signature.
     """
-    if alignment is None:
-        alignment = len(BOOT_SIGNATURE)
     candidates = []
-    for suffix_addr in dump.find_signature(_SUFFIX, min(alignment, len(_SUFFIX))):
+    for suffix_addr in dump.find_signature(_SUFFIX):
         addr = suffix_addr - _PREFIX_LEN
-        if addr >= 0 and addr % alignment == 0:
+        if addr >= 0:
             kind = _KIND_BY_SIGNATURE.get(dump.read_bytes(addr, len(BOOT_SIGNATURE)))
             if kind is not None:
                 candidates.append((kind, addr))
     return sorted(candidates, key=lambda c: (KIND_ORDER.index(c[0]), c[1]))
 
 
-def locate_tables(
-    dump: MemoryDump, alignment: int | None = None
-) -> tuple[list[ServiceTable], list[Anomaly]]:
+def locate_tables(dump: MemoryDump) -> tuple[list[ServiceTable], list[Anomaly]]:
     """Locate and parse all service tables, collecting parse anomalies.
 
     Candidates that fail validation are reported, not raised. Tables come
@@ -268,7 +261,7 @@ def locate_tables(
     """
     tables: list[ServiceTable] = []
     anomalies: list[Anomaly] = []
-    for kind, addr in find_table_candidates(dump, alignment):
+    for kind, addr in find_table_candidates(dump):
         try:
             tables.append(parse_table(dump, kind, addr))
         except TableParseError as exc:

@@ -42,17 +42,9 @@ def crc32_reference(data: bytes) -> int:
     return crc ^ 0xFFFFFFFF
 
 
-def brute_force_find(flat: bytes, sig: bytes, alignment: int = 1) -> list[int]:
+def brute_force_find(flat: bytes, sig: bytes) -> list[int]:
     """Byte-by-byte scan over a fully reassembled image."""
-    hits = []
-    start = 0
-    while True:
-        i = flat.find(sig, start)
-        if i < 0:
-            return hits
-        if i % alignment == 0:
-            hits.append(i)
-        start = i + 1
+    return [i for i in range(len(flat) - len(sig) + 1) if flat[i:i + len(sig)] == sig]
 
 
 def reassemble_dump_file(dump_path, map_path=None) -> bytes:

@@ -231,6 +231,7 @@ def test_max_depth_flag(tmp_path, capsys):
     ["analyze", "x.dump", "--max-depth", str(MAX_DEPTH_LIMIT + 1)],
     ["analyze", "x.dump", "--prologue-window", str(PROLOGUE_WINDOW_LIMIT + 1)],
     ["analyze", "x.dump", "--baseline-guid", "not-a-guid"],
+    ["analyze", "x.dump", "--scan-unaligned"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:

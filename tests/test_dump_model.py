@@ -259,12 +259,13 @@ def test_find_signature_absent_and_sorted():
     assert dump.find_signature(b"ldri") == [0x80, 0x100]
 
 
-def test_find_signature_respects_alignment():
+def test_find_signature_every_byte_offset():
     buf = bytearray(0x100)
     buf[0x11:0x19] = b"BOOTSERV"  # unaligned
+    buf[0x42:0x46] = b"ldri"
     dump = MemoryDump.from_regions([(0, bytes(buf))])
-    assert dump.find_signature(b"BOOTSERV") == []
-    assert dump.find_signature(b"BOOTSERV", alignment=1) == [0x11]
+    assert dump.find_signature(b"BOOTSERV") == [0x11]
+    assert dump.find_signature(b"ldri") == [0x42]
 
 
 def test_find_signature_across_region_boundary():
@@ -272,23 +273,24 @@ def test_find_signature_across_region_boundary():
     left = bytes(0x100 - 2) + b"ld"
     right = b"ri" + bytes(0x100 - 2)
     dump = MemoryDump.from_regions([(0, left), (0x100, right)])
-    assert dump.find_signature(b"ldri", alignment=1) == [0xFE]
+    assert dump.find_signature(b"ldri") == [0xFE]
 
 
 def test_find_signature_agrees_with_brute_force_on_sparse_dump():
     pieces = [(0x0, b"ldriXXldri" + bytes(0x40)), (0x100, bytes(0x20) + b"ldri" + bytes(0x10))]
     dump = MemoryDump.from_regions([(s, b) for s, b in pieces])
     flat = dump.read_bytes(0, dump.total_span)
-    for alignment in (1, 2, 4):
-        got = dump.find_signature(b"ldri", alignment)
-        assert got == brute_force_find(flat, b"ldri", alignment)
+    assert dump.find_signature(b"ldri") == brute_force_find(flat, b"ldri") == [0, 6, 0x120]
 
 
-def test_find_all_zero_signature_includes_gaps():
-    dump = MemoryDump.from_regions([(0, b"\xFF" * 8), (0x20, b"\xFF" * 8)])
+def test_find_signature_matches_into_gaps():
+    # Zero bytes of a match may lie in a gap; an all-zero signature is refused.
+    dump = MemoryDump.from_regions([(0, b"\xFF" * 8), (0x20, b"\x01" * 8)])
     flat = dump.read_bytes(0, dump.total_span)
-    got = dump.find_signature(bytes(4), alignment=1)
-    assert got == brute_force_find(flat, bytes(4), 1)
+    sig = b"\x00\x00\x00\x01"
+    assert dump.find_signature(sig) == brute_force_find(flat, sig) == [0x1D]
+    with pytest.raises(ValueError):
+        dump.find_signature(bytes(4))
 
 
 def test_scan_soundness(forged):

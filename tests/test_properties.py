@@ -75,17 +75,15 @@ def test_read_bytes_equals_manual_reassembly(pieces):
 
 @given(
     regions_strategy,
-    st.sampled_from([b"ldri", b"\x00\x00\x00\x00", b"\xFF\xFF\xFF\xFF", b"BOOTSERV"]),
-    st.sampled_from([1, 2, 4, 8]),
+    st.sampled_from([b"ldri", b"\x00\x00\x00\x01", b"\xFF\xFF\xFF\xFF", b"BOOTSERV"]),
 )
 @settings(max_examples=200)
-def test_find_signature_equals_brute_force(pieces, sig, alignment):
+def test_find_signature_equals_brute_force(pieces, sig):
     dump, span = build_sparse(pieces)
     if span < len(sig):
         return
     flat = dump.read_bytes(0, span)
-    got = dump.find_signature(sig, alignment)
-    assert got == brute_force_find(flat, sig, alignment)
+    assert dump.find_signature(sig) == brute_force_find(flat, sig)
 
 
 @given(regions_strategy, st.integers(0, 0x500), st.integers(1, 0x80))
@@ -124,13 +122,10 @@ def planted_table_dumps(draw):
 @given(planted_table_dumps())
 @settings(max_examples=200)
 def test_one_suffix_scan_equals_per_kind_scans(dump):
-    for alignment in (None, 1, 2, 4, 8):
-        per_kind = [
-            (kind, addr)
-            for kind in KIND_ORDER
-            for addr in dump.find_signature(kind.signature, alignment)
-        ]
-        assert find_table_candidates(dump, alignment) == per_kind
+    per_kind = [
+        (kind, addr) for kind in KIND_ORDER for addr in dump.find_signature(kind.signature)
+    ]
+    assert find_table_candidates(dump) == per_kind
 
 
 # --- relative-target law ----------------------------------------------------
