@@ -56,7 +56,6 @@ from .forge import (  # noqa: F401
     build_minimal_pe,
     build_scenario,
     builtin_scenarios,
-    forge_dump,
     scenario_by_name,
 )
 from .report import (  # noqa: F401

@@ -31,6 +31,9 @@ PE_SIGNATURE = b"PE\x00\x00"
 # signature and the 20-byte COFF header (same place in PE32 and PE32+).
 SIZE_OF_IMAGE_OFFSET = 4 + 20 + 56
 _UNSAFE_CHARS = re.compile(r"[^A-Za-z0-9._-]")
+# Sanitized names are ASCII, so stem + "_<n>" + ".efi" stays under the
+# 255-byte file-name limit.
+MAX_STEM_CHARS = 200
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,8 @@ def _sanitize_name(identity: ImageIdentity) -> str:
     else:
         base = identity.guid or "image"
     base = _UNSAFE_CHARS.sub("_", base) or "image"
-    if not base.lower().endswith(".efi"):
-        base += ".efi"
-    return base
+    stem, ext = (base[:-4], base[-4:]) if base.lower().endswith(".efi") else (base, ".efi")
+    return stem[:MAX_STEM_CHARS] + ext
 
 
 def _unique_name(base: str, used: set[str]) -> str:

@@ -23,7 +23,8 @@ import logging
 import struct
 import uuid
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
 from random import Random
 from typing import NamedTuple
@@ -174,7 +175,6 @@ class PointerHookSpec:
     table: TableKind
     service: str
     target: str                      # key of the image receiving the pointer
-    target_offset: int | None = None
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,6 @@ class InlineHookSpec:
     depth: int = 1                   # total transfers in the chain (1..4)
     payload: str = ""                # key of the image holding the payload
     payload_offset: int | None = None
-    table: TableKind | None = None   # inferred from the service name if None
 
 
 @dataclass(frozen=True)
@@ -216,6 +215,13 @@ class TransferTruth:
 
 
 @dataclass(frozen=True)
+class StubInstruction:
+    at: int
+    length: int
+    encoding: str  # hex bytes of the instruction
+
+
+@dataclass(frozen=True)
 class ImageTruth:
     key: str
     guid: str | None
@@ -229,7 +235,6 @@ class ImageTruth:
 
 @dataclass(frozen=True)
 class TableTruth:
-    kind: TableKind
     addr: int
     revision: int
     header_size: int
@@ -254,10 +259,10 @@ class InlineHookTruth:
     function_addr: int
     hook_addr: int
     style: str
-    chain: tuple[TransferTruth, ...]
     payload_addr: int
     payload_key: str
     indeterminate: bool
+    chain: tuple[TransferTruth, ...]
 
 
 @dataclass(frozen=True)
@@ -274,7 +279,7 @@ class GroundTruth:
     inline_hooks: tuple[InlineHookTruth, ...]
     decoys: tuple[dict, ...]
     null_services: tuple[tuple[str, str], ...]
-    stub_listings: dict[str, tuple[tuple[int, int, str], ...]]
+    stub_listings: dict[str, tuple[StubInstruction, ...]]
 
     def expected_pointer_findings(self) -> set[tuple[str, str]]:
         return {(h.table.value, h.service) for h in self.pointer_hooks}
@@ -289,62 +294,27 @@ class GroundTruth:
         raise KeyError(key)
 
     def to_json_dict(self) -> dict:
-        hx = lambda v: None if v is None else f"0x{v:x}"
-        return {
-            "schema": 1,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "crc_policy": self.crc_policy,
-            "total_span": hx(self.total_span),
-            "tables": {
-                name: {
-                    "addr": hx(t.addr),
-                    "revision": hx(t.revision),
-                    "header_size": t.header_size,
-                    "stored_crc": hx(t.stored_crc),
-                    "true_pointers": {k: hx(v) for k, v in t.true_pointers.items()},
-                    "final_pointers": {k: hx(v) for k, v in t.final_pointers.items()},
-                }
-                for name, t in self.tables.items()
-            },
-            "images": [
-                {
-                    "key": i.key, "guid": i.guid, "path": i.path,
-                    "base": hx(i.base), "size": i.size, "role": i.role,
-                    "record_addr": hx(i.record_addr), "sha256": i.sha256,
-                }
-                for i in self.images
-            ],
-            "pointer_hooks": [
-                {
-                    "table": h.table.value, "service": h.service, "index": h.index,
-                    "hooked_pointer": hx(h.hooked_pointer), "target_key": h.target_key,
-                }
-                for h in self.pointer_hooks
-            ],
-            "inline_hooks": [
-                {
-                    "table": h.table.value, "service": h.service,
-                    "function_addr": hx(h.function_addr), "hook_addr": hx(h.hook_addr),
-                    "style": h.style, "payload_addr": hx(h.payload_addr),
-                    "payload_key": h.payload_key, "indeterminate": h.indeterminate,
-                    "chain": [
-                        {
-                            "at": hx(t.at), "kind": t.kind, "length": t.length,
-                            "target": hx(t.target), "encoding": t.encoding,
-                        }
-                        for t in h.chain
-                    ],
-                }
-                for h in self.inline_hooks
-            ],
-            "decoys": list(self.decoys),
-            "null_services": [[k, s] for k, s in self.null_services],
-            "stub_listings": {
-                key: [{"at": hx(a), "length": ln, "encoding": enc} for a, ln, enc in listing]
-                for key, listing in self.stub_listings.items()
-            },
-        }
+        return {"schema": 1, **_to_json(self, "")}
+
+
+# Truth integers written in decimal; every other one is an address or a raw
+# field value and is written in hex.
+_DECIMAL_FIELDS = {"seed", "size", "header_size", "index", "length"}
+
+
+def _to_json(value, field: str):
+    """``value`` as JSON data; dict values and tuple items take ``field``'s name."""
+    if type(value) is int:  # not bool
+        return value if field in _DECIMAL_FIELDS else f"0x{value:x}"
+    if isinstance(value, dict):
+        return {k: _to_json(v, field) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_to_json(v, field) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name), f.name) for f in fields(value)}
+    return value
 
 
 def _derive_seed(*parts) -> int:
@@ -428,35 +398,35 @@ def _write_pe(buf, machine: int, subsystem: int, image_base: int, label: str) ->
     buf[0x300:0x300 + len(marker)] = marker
 
 
-# Benign instruction pool for stub bodies: (encoding, length).
+# Benign instruction pool for stub bodies; an instruction is its bytes.
 _STUB_POOL = (
-    (bytes.fromhex("48895C2408"), 5),   # mov [rsp+8], rbx
-    (bytes.fromhex("4883EC28"), 4),     # sub rsp, 0x28
-    (b"\x53", 1),                       # push rbx
-    (b"\x55", 1),                       # push rbp
-    (b"\x90", 1),                       # nop
-    (bytes.fromhex("31C0"), 2),         # xor eax, eax
-    (bytes.fromhex("4831C9"), 3),       # xor rcx, rcx
-    (bytes.fromhex("488BC1"), 3),       # mov rax, rcx
-    (bytes.fromhex("4C8BD1"), 3),       # mov r10, rcx
-    (bytes.fromhex("8BC2"), 2),         # mov eax, edx
-    (bytes.fromhex("B801000000"), 5),   # mov eax, 1
-    (bytes.fromhex("0F1F4000"), 4),     # nop dword [rax]
-    (bytes.fromhex("4885C0"), 3),       # test rax, rax
+    bytes.fromhex("48895C2408"),   # mov [rsp+8], rbx
+    bytes.fromhex("4883EC28"),     # sub rsp, 0x28
+    b"\x53",                       # push rbx
+    b"\x55",                       # push rbp
+    b"\x90",                       # nop
+    bytes.fromhex("31C0"),         # xor eax, eax
+    bytes.fromhex("4831C9"),       # xor rcx, rcx
+    bytes.fromhex("488BC1"),       # mov rax, rcx
+    bytes.fromhex("4C8BD1"),       # mov r10, rcx
+    bytes.fromhex("8BC2"),         # mov eax, edx
+    bytes.fromhex("B801000000"),   # mov eax, 1
+    bytes.fromhex("0F1F4000"),     # nop dword [rax]
+    bytes.fromhex("4885C0"),       # test rax, rax
 )
-_RET = (b"\xC3", 1)
+_RET = b"\xC3"
 
 
-def _benign_body(rng: Random, budget: int) -> list[tuple[bytes, int]]:
+def _benign_body(rng: Random, budget: int) -> list[bytes]:
     """A few pool instructions fitting in ``budget`` bytes, then ret."""
     body = []
     remaining = budget - 1  # keep room for the ret
     for _ in range(rng.randint(2, 5)):
-        enc, ln = _STUB_POOL[rng.randrange(len(_STUB_POOL))]
-        if ln > remaining:
+        insn = _STUB_POOL[rng.randrange(len(_STUB_POOL))]
+        if len(insn) > remaining:
             break
-        body.append((enc, ln))
-        remaining -= ln
+        body.append(insn)
+        remaining -= len(insn)
     body.append(_RET)
     return body
 
@@ -563,7 +533,7 @@ def _validate_spec(spec: ScenarioSpec) -> None:
     by_key = {i.key: i for i in spec.images}
     hooks = [(h.table, h.service, h.target, "pointer hook target") for h in spec.pointer_hooks]
     hooks += [
-        (h.table or _table_of_service(h.service), h.service, h.payload, "inline hook payload")
+        (_table_of_service(h.service), h.service, h.payload, "inline hook payload")
         for h in spec.inline_hooks
     ]
     hooked: set[tuple[TableKind, str]] = set()
@@ -605,7 +575,7 @@ class _PlacedImage:
     record_addr: int
     next_cell: int = AUX_CELL_BASE
 
-    def reserve_cell(self, offset: int | None) -> int:
+    def reserve_cell(self, offset: int | None = None) -> int:
         """Address of a hook cell at ``offset`` into the image, or of the next free one."""
         if offset is None:
             offset = self.next_cell
@@ -626,14 +596,13 @@ class _InlinePlan(NamedTuple):
     payload_addr: int
 
 
+@dataclass(frozen=True)
 class ForgedScenario:
     """A built scenario: in-memory dump, ground truth, and file emission."""
 
-    def __init__(self, spec: ScenarioSpec, seed: int, dump: MemoryDump, truth: GroundTruth):
-        self.spec = spec
-        self.seed = seed
-        self.dump = dump
-        self.truth = truth
+    spec: ScenarioSpec
+    dump: MemoryDump
+    truth: GroundTruth
 
     def write(self, out_dir) -> dict[str, Path]:
         """Emit ``<name>.dump``, ``<name>.map.json``, ``<name>.truth.json``."""
@@ -659,7 +628,7 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
     core = next(p for p in placed.values() if p.spec.role == ROLE_CORE)
     plans = _plan_inline_hooks(spec, placed, core)
     stub_addrs, stub_listings, inline_truths = _write_stubs(layout, core, rng, plans)
-    pointer_truths = _write_cells(layout, spec, placed, plans, rng)
+    pointer_truths = _write_cells(layout, spec, placed, rng)
     table_truths = _write_tables(layout, spec, stub_addrs, pointer_truths)
     _write_records(layout, placed)
     decoy_truths = _write_decoys(layout, spec, core)
@@ -686,7 +655,7 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
         null_services=tuple((k.value, s) for k, s in spec.null_services),
         stub_listings=stub_listings,
     )
-    return ForgedScenario(spec, seed, dump, truth)
+    return ForgedScenario(spec, dump, truth)
 
 
 def _place(spec: ScenarioSpec) -> tuple[_Layout, dict[str, _PlacedImage]]:
@@ -724,7 +693,7 @@ def _plan_inline_hooks(spec, placed, core) -> dict[tuple[TableKind, str], _Inlin
     used = 0
     plans = {}
     for hook in spec.inline_hooks:
-        table = hook.table or _table_of_service(hook.service)
+        table = _table_of_service(hook.service)
         payload_addr = placed[hook.payload].reserve_cell(hook.payload_offset)
         sites = tuple(site_addrs[used:used + hook.depth - 1])
         if len(sites) != hook.depth - 1:
@@ -738,13 +707,13 @@ def _write_stubs(layout, core, rng, plans):
     """Write every service's 64-byte stub into the core, hooked ones with their chains.
 
     Returns the stub address of each service, each stub's instruction
-    listing [(addr, length, hex)] and the inline hook truths.
+    listing and the inline hook truths.
     """
     services = [(kind, name) for kind in KIND_ORDER for name in canonical_layout(kind)]
     if STUB_AREA_OFFSET + len(services) * STUB_SIZE > CHAIN_AREA_OFFSET:
         raise ForgeError("stub area overflows into chain area")
     stub_addrs: dict[tuple[TableKind, str], int] = {}
-    listings: dict[str, tuple[tuple[int, int, str], ...]] = {}
+    listings: dict[str, tuple[StubInstruction, ...]] = {}
     truths: list[InlineHookTruth] = []
     for i, (kind, name) in enumerate(services):
         addr = stub_addrs[(kind, name)] = core.base + STUB_AREA_OFFSET + i * STUB_SIZE
@@ -757,63 +726,60 @@ def _write_stubs(layout, core, rng, plans):
         # runs, and the sweep stops there too. call-style hooks return, so
         # give them a benign tail like the real patched function would keep.
         if plan is None or plan.hook.style == STYLE_CALL_REL32:
-            used = sum(ln for _, ln in instructions)
-            instructions += _benign_body(rng, STUB_SIZE - used)
-        code = b"".join(enc for enc, _ in instructions)
-        layout.write(addr, code.ljust(STUB_SIZE, b"\xCC"))
+            instructions += _benign_body(rng, STUB_SIZE - sum(map(len, instructions)))
+        layout.write(addr, b"".join(instructions).ljust(STUB_SIZE, b"\xCC"))
         listing, at = [], addr
-        for enc, ln in instructions:
-            listing.append((at, ln, enc.hex()))
-            at += ln
+        for insn in instructions:
+            listing.append(StubInstruction(at, len(insn), insn.hex()))
+            at += len(insn)
         listings[f"{kind.value}/{name}"] = tuple(listing)
     return stub_addrs, listings, truths
 
 
-def _write_hook(layout, addr: int, plan: _InlinePlan) -> tuple[list, InlineHookTruth]:
-    """The hook instructions for the stub at ``addr``; writes its chain sites.
+def _write_hook(layout, addr: int, plan: _InlinePlan) -> tuple[list[bytes], InlineHookTruth]:
+    """The hook instructions for the stub at ``addr``; writes its chain sites and payload.
 
-    Returns the instructions [(encoding, length)] and the detector-visible
-    transfer chain as ground truth.
+    Returns the instructions and the detector-visible transfer chain as
+    ground truth.
     """
     hook = plan.hook
     hops = plan.sites + (plan.payload_addr,)
     if hook.style == STYLE_MOV_JMP:  # mov rax, imm64; jmp rax
         jmp = b"\xFF\xE0"
-        instructions = [(b"\x48\xB8" + struct.pack("<Q", plan.payload_addr), 10), (jmp, 2)]
+        instructions = [b"\x48\xB8" + struct.pack("<Q", plan.payload_addr), jmp]
         chain = [TransferTruth(addr + 10, "jmp_indirect", 2, None, jmp.hex())]
     else:
         opcode, kind = ((b"\xE8", "call_relative") if hook.style == STYLE_CALL_REL32
                         else (b"\xE9", "jmp_relative"))
         enc = opcode + _rel32(addr, 5, hops[0])
-        instructions = [(enc, 5)]
+        instructions = [enc]
         chain = [TransferTruth(addr, kind, 5, hops[0], enc.hex())]
     # Chain sites: each hop's bytes and its truth share one encoding.
     for site, target in zip(plan.sites, hops[1:]):
         enc = b"\xE9" + _rel32(site, 5, target)
         layout.write(site, enc.ljust(CHAIN_SITE_SIZE, b"\xCC"))
         chain.append(TransferTruth(site, "jmp_relative", 5, target, enc.hex()))
+    layout.write(plan.payload_addr, b"\x90\x90\xC3")  # inert payload marker
     truth = InlineHookTruth(
         table=plan.table,
         service=hook.service,
         function_addr=addr,
         hook_addr=chain[0].at,
         style=hook.style,
-        chain=tuple(chain),
         payload_addr=plan.payload_addr,
         payload_key=hook.payload,
         indeterminate=hook.style == STYLE_MOV_JMP,
+        chain=tuple(chain),
     )
     return instructions, truth
 
 
-def _write_cells(layout, spec, placed, plans, rng) -> list[PointerHookTruth]:
-    """Mark each inline payload cell, then fill each pointer hook's target cell."""
-    for plan in plans.values():
-        layout.write(plan.payload_addr, b"\x90\x90\xC3")  # inert payload marker
+def _write_cells(layout, spec, placed, rng) -> list[PointerHookTruth]:
+    """Fill each pointer hook's target cell with a benign body."""
     truths = []
     for hook in spec.pointer_hooks:
-        addr = placed[hook.target].reserve_cell(hook.target_offset)
-        layout.write(addr, b"".join(enc for enc, _ in _benign_body(rng, AUX_CELL_SIZE)))
+        addr = placed[hook.target].reserve_cell()
+        layout.write(addr, b"".join(_benign_body(rng, AUX_CELL_SIZE)))
         index = canonical_layout(hook.table).index(hook.service)
         truths.append(PointerHookTruth(hook.table, hook.service, index, addr, hook.target))
     return truths
@@ -848,7 +814,7 @@ def _write_tables(layout, spec, stub_addrs, pointer_truths) -> dict[str, TableTr
         }[spec.crc_policy]
         layout.write(addr, render(final_pointers, stored))
         truths[kind.value] = TableTruth(
-            kind, addr, revision, header_size, stored, true_pointers, final_pointers
+            addr, revision, header_size, stored, true_pointers, final_pointers
         )
     return truths
 
@@ -881,13 +847,6 @@ def _write_decoys(layout, spec, core) -> list[dict]:
             layout.write(addr, LDRI_RECORD.pack(LDRI_SIGNATURE, 0x1000, 0xFFFF_FFFF_0000, 0, 0))
         truths.append({"kind": decoy.kind, "addr": f"0x{addr:x}"})
     return truths
-
-
-def forge_dump(spec: ScenarioSpec, out_dir, seed: int = 0) -> GroundTruth:
-    """Build a scenario and write dump, sidecar map, and truth manifest."""
-    scenario = build_scenario(spec, seed)
-    scenario.write(out_dir)
-    return scenario.truth
 
 
 def builtin_scenarios() -> list[ScenarioSpec]:

@@ -47,7 +47,9 @@ class ImageIdentity:
 
     @property
     def label(self) -> str:
-        return self.file_path or self.guid or "<unidentified>"
+        """Display name; non-printable characters from the dump are escaped."""
+        name = self.file_path or self.guid or "<unidentified>"
+        return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in name)
 
 
 @dataclass(frozen=True)

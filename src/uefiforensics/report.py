@@ -71,7 +71,6 @@ class AnalysisReport:
     anomalies: list[Anomaly]
     carved: list[CarvedImage] = field(default_factory=list)
     carve_dir: str | None = None
-    tool_version: str = __version__
 
     @property
     def has_findings(self) -> bool:
@@ -178,7 +177,7 @@ def to_json_dict(report: AnalysisReport) -> dict:
     dump = report.dump
     doc = {
         "schema": 1,
-        "tool_version": report.tool_version,
+        "tool_version": __version__,
         "dump": {
             "path": dump.source_path,
             "total_span": _hx(dump.total_span),

@@ -281,7 +281,7 @@ def locate_tables(dump: MemoryDump) -> tuple[list[ServiceTable], list[Anomaly]]:
 
 def crc32_ieee(data: bytes) -> int:
     """Standard CRC-32 (reflected 0xEDB88320, init/xorout 0xFFFFFFFF)."""
-    return binascii.crc32(data) & 0xFFFFFFFF
+    return binascii.crc32(data)
 
 
 def compute_table_crc32(dump: MemoryDump, table: ServiceTable) -> int:

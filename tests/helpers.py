@@ -123,7 +123,7 @@ def random_scenario(rng: Random, index: int) -> ScenarioSpec:
         style = rng.choice(INLINE_STYLES)
         depth = 1 if style == STYLE_MOV_JMP else rng.randint(1, 4)
         inline_hooks.append(
-            InlineHookSpec(service=service, table=kind, style=style, depth=depth,
+            InlineHookSpec(service=service, style=style, depth=depth,
                            payload=rng.choice(aux_keys))
         )
     null_services = []

@@ -26,7 +26,7 @@ from uefiforensics.forge import (
 from uefiforensics.image_registry import scan_loaded_images
 from uefiforensics.inline_hooks import TransferKind
 from uefiforensics.report import AnalysisOptions, analyze_dump
-from uefiforensics.service_tables import crc32_ieee, parse_table
+from uefiforensics.service_tables import TableKind, crc32_ieee, parse_table
 
 from helpers import brute_force_owner, random_scenario, sext
 
@@ -182,8 +182,8 @@ def test_c10_structural_laws_over_randomized_dumps():
         truth = scenario.truth
 
         # Offset law: entry i is the little-endian u64 at table+24+8i.
-        for table_truth in truth.tables.values():
-            table = parse_table(dump, table_truth.kind, table_truth.addr)
+        for kind, table_truth in truth.tables.items():
+            table = parse_table(dump, TableKind(kind), table_truth.addr)
             for entry in table.entries:
                 raw = dump.read_bytes(table_truth.addr + 24 + 8 * entry.index, 8)
                 assert struct.unpack("<Q", raw)[0] == entry.pointer

@@ -5,7 +5,9 @@ from dataclasses import replace
 import pytest
 
 from uefiforensics.cli import main
-from uefiforensics.forge import COMPACT_GEOMETRY, build_scenario, scenario_by_name
+from uefiforensics.carver import MANIFEST_NAME
+from uefiforensics.forge import COMPACT_GEOMETRY, build_minimal_pe, build_scenario, scenario_by_name
+from uefiforensics.image_registry import LDRI_RECORD, LDRI_SIGNATURE, MAX_PATH_CHARS
 from uefiforensics.inline_hooks import MAX_DEPTH_LIMIT, PROLOGUE_WINDOW_LIMIT
 from uefiforensics.report import analyze_dump, to_json_dict
 from uefiforensics.service_tables import BOOT_SIGNATURE, TABLE_HEADER
@@ -283,3 +285,25 @@ def test_crc_range_past_dump_end_is_unverifiable(tmp_path, capsys):
             "detail": "header_size 4096 runs past the dump span"} in doc["anomalies"]
     # Detection still ran on the table: it found no image to baseline against.
     assert any(a["kind"] == "no_baseline" and a["addr"] == "0xc00" for a in doc["anomalies"])
+
+
+def test_longest_record_path_carves(tmp_path, capsys):
+    # Two records name the same 255-character path with no separator: the
+    # carved names must stay within the 255-byte file-name limit.
+    data = bytearray(0x6000)
+    data[0x5400:0x5600] = ("A" * MAX_PATH_CHARS).encode("utf-16-le") + b"\x00\x00"
+    for i, base in enumerate((0x1000, 0x3000)):
+        data[base:base + 0x1000] = build_minimal_pe(0x1000)
+        record = 0x5000 + 0x80 * i
+        data[record:record + LDRI_RECORD.size] = LDRI_RECORD.pack(
+            LDRI_SIGNATURE, base, 0x1000, 0, 0x5400)
+    blob = tmp_path / "long-path.dump"
+    blob.write_bytes(bytes(data))
+    out_dir = tmp_path / "carved"
+    rc = main(["analyze", str(blob), "--carve-out", str(out_dir)])
+    assert rc == 0
+    assert "carved 2 image(s)" in capsys.readouterr().out
+    manifest = json.loads((out_dir / MANIFEST_NAME).read_text())
+    names = [image["file"] for image in manifest["images"]]
+    assert len(set(names)) == 2
+    assert all(len(name.encode()) <= 255 and (out_dir / name).exists() for name in names)

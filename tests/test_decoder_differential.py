@@ -85,15 +85,15 @@ def objdump_disagreements(cases: list[bytes]) -> list[str]:
 
 
 def test_stub_pool_lengths():
-    for encoding, length in _STUB_POOL:
-        decoded = decode_instruction(encoding, 0)
-        assert decoded is not None, encoding.hex()
-        assert decoded[:2] == (length, "skip"), encoding.hex()
+    for insn in _STUB_POOL:
+        decoded = decode_instruction(insn, 0)
+        assert decoded is not None, insn.hex()
+        assert decoded[:2] == (len(insn), "skip"), insn.hex()
 
 
 @needs_objdump
 def test_stub_pool_matches_objdump():
-    assert objdump_disagreements([encoding for encoding, _ in _STUB_POOL]) == []
+    assert objdump_disagreements(list(_STUB_POOL)) == []
 
 
 @needs_objdump

@@ -22,7 +22,6 @@ from uefiforensics.forge import (
     build_minimal_pe,
     build_scenario,
     builtin_scenarios,
-    forge_dump,
     scenario_by_name,
 )
 from uefiforensics.image_registry import scan_loaded_images
@@ -102,13 +101,6 @@ def test_emitted_files_round_trip(tmp_path):
     assert truth_doc["tables"]["boot"]["final_pointers"]["LoadImage"] != (
         truth_doc["tables"]["boot"]["true_pointers"]["LoadImage"]
     )
-
-
-def test_forge_dump_api(tmp_path):
-    spec = replace(scenario_by_name("clean"), geometry=COMPACT_GEOMETRY)
-    truth = forge_dump(spec, tmp_path, seed=1)
-    assert truth.scenario == "clean"
-    assert (tmp_path / "clean.dump").exists()
 
 
 def test_self_consistency_parse_recovers_truth(forged):
@@ -226,19 +218,10 @@ def test_payload_offset_out_of_image_rejected():
         build_scenario(spec)
 
 
-@pytest.mark.parametrize(
-    "hooks",
-    [
-        {"inline_hooks": (InlineHookSpec(service="CreateEventEx", payload="\\EFI\\x.efi",
-                                         payload_offset=-0x40),)},
-        {"pointer_hooks": (PointerHookSpec(TableKind.BOOT, "LoadImage", "\\EFI\\x.efi",
-                                           target_offset=-0x40),)},
-    ],
-    ids=["inline", "pointer"],
-)
-def test_negative_cell_offset_rejected(hooks):
+def test_negative_cell_offset_rejected():
+    hook = InlineHookSpec(service="CreateEventEx", payload="\\EFI\\x.efi", payload_offset=-0x40)
     with pytest.raises(ForgeError, match="does not fit inside image"):
-        build_scenario(compact_spec(**hooks))
+        build_scenario(compact_spec(inline_hooks=(hook,)))
 
 
 def test_pinned_base_gets_its_own_region(tmp_path):

@@ -21,7 +21,7 @@ from uefiforensics.forge import (
     build_scenario,
     scenario_by_name,
 )
-from uefiforensics.image_registry import LDRI_RECORD_LEN
+from uefiforensics.image_registry import LDRI_RECORD, LDRI_RECORD_LEN
 from uefiforensics.pointer_hooks import SEVERITY_SUSPICIOUS
 from uefiforensics.report import analyze_dump, render_text, to_json_dict
 from uefiforensics.service_tables import ENTRY_LEN, HEADER_LEN, TableKind, canonical_layout
@@ -127,3 +127,17 @@ def test_misaligned_image_record_found():
     for finding in report.pointer_findings:
         assert finding.severity == SEVERITY_SUSPICIOUS
         assert finding.target_image.identity.file_path == EFIGUARD_PATH
+
+
+def test_dump_path_cannot_rewrite_text_report():
+    # EfiGuardDxe's path erases the terminal line and prints a fake verdict.
+    addr = compact("efiguard").truth.image_by_key(EFIGUARD_PATH).record_addr
+    record = compact("efiguard").dump.read_bytes(addr, LDRI_RECORD_LEN)
+    path_ptr = LDRI_RECORD.unpack(record)[4]
+    path = "x\x1b[2K\rverdict: clean\n".encode("utf-16-le") + b"\x00\x00"
+    report = analyze_dump(patched("efiguard", [(path_ptr, path)]))
+    text = render_text(report)
+    assert report.exit_code == 2
+    assert [line for line in text.splitlines() if line.startswith("verdict:")] == [
+        "verdict: findings"]
+    assert "\x1b" not in text

@@ -387,12 +387,12 @@ def test_decoder_lengths_match_forge_listings(forged):
         scenario = forged(name)
         dump = scenario.dump
         for key, listing in scenario.truth.stub_listings.items():
-            for at, length, encoding in listing:
-                window = dump.read_bytes(at, 16)
-                decoded = decode_instruction(window, at)
-                assert decoded is not None, f"{name}:{key} opaque at {at:#x}"
-                assert decoded[0] == length, f"{name}:{key} at {at:#x}"
-                assert window[:length].hex() == encoding
+            for insn in listing:
+                window = dump.read_bytes(insn.at, 16)
+                decoded = decode_instruction(window, insn.at)
+                assert decoded is not None, f"{name}:{key} opaque at {insn.at:#x}"
+                assert decoded[0] == insn.length, f"{name}:{key} at {insn.at:#x}"
+                assert window[:insn.length].hex() == insn.encoding
 
 
 def test_hook_after_endbr64_found(forged):

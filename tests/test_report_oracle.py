@@ -7,12 +7,15 @@ changes means the reports changed; update it only for an intended change
 of report content, and say why where the change is recorded. The forged
 files (dump, sidecar and truth manifest) are pinned the same way, at seed 0
 and seed 1 and at both geometries, so a change to the forge or the sidecar
-writer shows up here too.
+writer shows up here too. ``RANDOM_CORPUS_DIGEST`` pins 100 randomized
+specs, which reach forge paths no builtin does: automatic payload cells,
+``mov_jmp`` hooks, null services and decoys on the compact geometry.
 """
 
 import hashlib
 import json
 from dataclasses import replace
+from random import Random
 
 import pytest
 
@@ -24,6 +27,8 @@ from uefiforensics.forge import (
     scenario_by_name,
 )
 from uefiforensics.report import analyze_dump, render_text, to_json_dict
+
+from helpers import random_scenario
 
 # scenario -> (report JSON digest, text report digest)
 REPORT_DIGESTS = {
@@ -154,6 +159,10 @@ COMPACT_FILE_DIGESTS = {
     "decoy-heavy": "d33e3ced05127cac1fdddb47eb841690142c601fad0ded5d6f69c9936c1da065",
 }
 
+# One SHA-256 over random_scenario(Random(12), i) built at seed i, i < 100:
+# each region's bytes in address order, then the truth JSON (indent=2).
+RANDOM_CORPUS_DIGEST = "b5a7613134d5e33890309e406b61fb221f8d58789c5900e14791d85508cd5c4c"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -198,3 +207,14 @@ def test_forged_files_unchanged(tmp_path, name, seed, geometry, expected):
     for path in paths.values():
         path.unlink()  # the dumps are megabytes each
     assert _combined(digests) == expected
+
+
+def test_random_corpus_unchanged():
+    rng = Random(12)
+    digest = hashlib.sha256()
+    for i in range(100):
+        scenario = build_scenario(random_scenario(rng, i), i)
+        for region in scenario.dump.regions:
+            digest.update(scenario.dump.read_bytes(region.phys_start, region.length))
+        digest.update(json.dumps(scenario.truth.to_json_dict(), indent=2).encode())
+    assert digest.hexdigest() == RANDOM_CORPUS_DIGEST
