@@ -222,6 +222,12 @@ class StubInstruction:
 
 
 @dataclass(frozen=True)
+class DecoyTruth:
+    kind: str
+    addr: int
+
+
+@dataclass(frozen=True)
 class ImageTruth:
     key: str
     guid: str | None
@@ -277,7 +283,7 @@ class GroundTruth:
     images: tuple[ImageTruth, ...]
     pointer_hooks: tuple[PointerHookTruth, ...]
     inline_hooks: tuple[InlineHookTruth, ...]
-    decoys: tuple[dict, ...]
+    decoys: tuple[DecoyTruth, ...]
     null_services: tuple[tuple[str, str], ...]
     stub_listings: dict[str, tuple[StubInstruction, ...]]
 
@@ -834,7 +840,7 @@ def _write_records(layout, placed) -> None:
         ))
 
 
-def _write_decoys(layout, spec, core) -> list[dict]:
+def _write_decoys(layout, spec, core) -> list[DecoyTruth]:
     truths = []
     for decoy in spec.decoys:
         if decoy.kind == DECOY_FAKE_SIGNATURE:
@@ -845,7 +851,7 @@ def _write_decoys(layout, spec, core) -> list[dict]:
             # ldri bytes whose size field cannot possibly be a real image.
             addr = spec.geometry.ldri_base + _ldri_span(spec) - 0x800
             layout.write(addr, LDRI_RECORD.pack(LDRI_SIGNATURE, 0x1000, 0xFFFF_FFFF_0000, 0, 0))
-        truths.append({"kind": decoy.kind, "addr": f"0x{addr:x}"})
+        truths.append(DecoyTruth(decoy.kind, addr))
     return truths
 
 

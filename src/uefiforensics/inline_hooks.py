@@ -5,6 +5,9 @@ control transfer into attacker code. The detector linearly sweeps each
 service function's prologue, classifies control transfers, and follows
 benign-looking in-image transfers breadth-first through a bounded number of
 nesting levels (attackers chain in-image jumps to defeat single-hop checks).
+Within one table, each instruction is decoded once and each address swept
+once, through memos its services share; chains and findings stay per
+service.
 
 The decoder is one opcode map (Intel SDM Vol. 2, Appendix A): after up to
 four legacy prefixes and a REX byte, the one-byte or ``0F`` opcode selects
@@ -18,7 +21,7 @@ which ends the sweep, is anything else: opcodes not in the map, forms a
 CPU rejects (register operands of ``lea`` and far ``call``/``jmp``,
 ``C6``/``C7`` other than ``mov``) and encodings longer than 15 bytes. The
 decoder returns a plain ``(length, kind, target, slot)`` tuple, or None
-when opaque; a sweep builds one ``ControlTransfer`` per transfer it keeps.
+when opaque; a sweep step builds one ``ControlTransfer`` per transfer.
 A full-fidelity disassembler returning that tuple can be dropped in behind
 ``decode_instruction`` without touching the detection logic.
 """
@@ -231,8 +234,32 @@ def decode_instruction(window: bytes, at: PhysAddr) -> tuple | None:
     return length, kind, target, slot
 
 
+def _step(dump: MemoryDump, code: bytes, at: PhysAddr) -> tuple:
+    """The sweep's step at ``at``: ``(length, stop reason or None, transfer or None)``.
+
+    ``code`` is the dump's bytes from ``at``, up to 16 of them; an opaque
+    step has length 0. The step depends only on the dump and ``at``.
+    """
+    decoded = decode_instruction(code, at)
+    # Opaque bytes, or an instruction running into the padding past the dump end.
+    if decoded is None or at + decoded[0] > dump.total_span:
+        return 0, STOP_OPAQUE, None
+    length, kind, target, slot = decoded
+    if kind == "skip":
+        return length, None, None
+    if kind == "ret":
+        return length, STOP_RET, None
+    if slot is not None and dump.in_span(slot, 8):
+        target = dump.read_u64(slot)
+    stop = STOP_JMP if kind in (TransferKind.JMP_RELATIVE, TransferKind.JMP_INDIRECT) else None
+    return length, stop, ControlTransfer(at, kind, length, target, slot)
+
+
 def scan_prologue(
-    dump: MemoryDump, function_addr: PhysAddr, window: int = DEFAULT_PROLOGUE_WINDOW
+    dump: MemoryDump,
+    function_addr: PhysAddr,
+    window: int = DEFAULT_PROLOGUE_WINDOW,
+    steps: dict[PhysAddr, tuple] | None = None,
 ) -> PrologueScan:
     """Linear sweep from ``function_addr``, collecting control transfers.
 
@@ -242,37 +269,33 @@ def scan_prologue(
     Conditional branches do not stop the sweep (fallthrough is reachable).
     RIP-relative indirect targets are resolved through the dump when the
     pointer slot is mapped.
+
+    ``steps`` memoizes decoded instructions by address across sweeps of
+    the same dump; the result is the same with or without it.
     """
     if window < 1:
         raise ValueError("prologue window must be positive")
     if not dump.in_span(function_addr):
         raise OutOfBoundsRead(f"function address {function_addr:#x} outside dump span")
+    if steps is None:
+        steps = {}
 
     avail = min(window + DECODE_WINDOW, dump.total_span - function_addr)
     code = dump.read_bytes(function_addr, avail)
-
     transfers: list[ControlTransfer] = []
     cursor = 0
     stop = STOP_WINDOW
     while cursor < window:
         at = function_addr + cursor
-        decoded = decode_instruction(code[cursor:cursor + DECODE_WINDOW], at)
-        # Opaque bytes, or an instruction running into the padding past the dump end.
-        if decoded is None or cursor + decoded[0] > avail:
-            stop = STOP_OPAQUE
-            break
-        length, kind, target, slot = decoded
+        step = steps.get(at)
+        if step is None:
+            step = steps[at] = _step(dump, code[cursor:cursor + DECODE_WINDOW], at)
+        length, stop_reason, transfer = step
         cursor += length
-        if kind == "skip":
-            continue
-        if kind == "ret":
-            stop = STOP_RET
-            break
-        if slot is not None and dump.in_span(slot, 8):
-            target = dump.read_u64(slot)
-        transfers.append(ControlTransfer(at, kind, length, target, slot))
-        if kind in (TransferKind.JMP_RELATIVE, TransferKind.JMP_INDIRECT):
-            stop = STOP_JMP
+        if transfer is not None:
+            transfers.append(transfer)
+        if stop_reason is not None:
+            stop = stop_reason
             break
     return PrologueScan(tuple(transfers), stop, function_addr + cursor)
 
@@ -300,6 +323,10 @@ def detect_inline_hooks(
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     findings: list[InlineHookFinding] = []
+    # Shared by every service of the table: a step, or a sweep at this window,
+    # depends only on the dump and its address, never on the chain that reached it.
+    steps: dict[PhysAddr, tuple] = {}
+    scans: dict[PhysAddr, PrologueScan] = {}
 
     for entry in table.entries:
         if entry.pointer == 0:
@@ -311,18 +338,21 @@ def detect_inline_hooks(
             continue
 
         # Breadth-first over a worklist that grows as it is read: each address
-        # is swept once, on its shortest chain; each escape is reported once.
-        swept = {entry.pointer}
+        # is followed once, on its shortest chain; each escape is reported once.
+        seen = {entry.pointer}
         reported: set[tuple[PhysAddr, PhysAddr | None]] = set()
         frontier: list[tuple[PhysAddr, tuple[ControlTransfer, ...]]] = [(entry.pointer, ())]
         for addr, chain in frontier:
             if not dump.in_span(addr):
                 continue
-            for t in scan_prologue(dump, addr, window).transfers:
+            scan = scans.get(addr)
+            if scan is None:
+                scan = scans[addr] = scan_prologue(dump, addr, window, steps)
+            for t in scan.transfers:
                 extended = chain + (t,)
                 if t.target is not None and owner.contains(t.target):
-                    if len(extended) < max_depth and t.target not in swept:
-                        swept.add(t.target)
+                    if len(extended) < max_depth and t.target not in seen:
+                        seen.add(t.target)
                         frontier.append((t.target, extended))
                     continue
                 if (t.at, t.target) in reported:

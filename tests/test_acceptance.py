@@ -111,7 +111,7 @@ def test_c05_false_positive_floor(forged):
         report = analyze_dump(forged(name).dump)
         assert report.pointer_findings == [] and report.inline_findings == [], name
     decoy_report = analyze_dump(forged("decoy-heavy").dump)
-    decoy_addrs = {int(d["addr"], 16) for d in forged("decoy-heavy").truth.decoys}
+    decoy_addrs = {d.addr for d in forged("decoy-heavy").truth.decoys}
     anomaly_addrs = {a.addr for a in decoy_report.anomalies}
     assert decoy_addrs <= anomaly_addrs
     assert {a.kind for a in decoy_report.anomalies} == {

@@ -54,7 +54,7 @@ def test_format_guid_little_endian_layout():
 def test_decoy_ldri_rejected_with_anomaly(forged):
     scenario = forged("decoy-heavy")
     image_map = scan_loaded_images(scenario.dump)
-    decoy_addrs = {int(d["addr"], 16) for d in scenario.truth.decoys if d["kind"] == "fake_ldri"}
+    decoy_addrs = {d.addr for d in scenario.truth.decoys if d.kind == "fake_ldri"}
     assert decoy_addrs
     assert all(r.record_addr not in decoy_addrs for r in image_map.records)
     rejected = {a.addr for a in image_map.anomalies if a.kind == "ldri_candidate_rejected"}

@@ -2,6 +2,7 @@ import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from uefiforensics import inline_hooks
 from uefiforensics.dump_model import MemoryDump, OutOfBoundsRead
@@ -12,6 +13,7 @@ from uefiforensics.forge import (
     STYLE_MOV_JMP,
     InlineHookSpec,
     build_scenario,
+    builtin_scenarios,
     scenario_by_name,
 )
 from uefiforensics.image_registry import (
@@ -251,6 +253,52 @@ def test_scan_unmapped_slot_stays_unresolved():
     assert t.target is None and t.indirect_slot == 0x1000 + 6 + 0x7000
 
 
+def assert_memo_equivalent(dump, sweeps):
+    """Each (addr, window) swept through one shared memo equals a fresh sweep."""
+    steps = {}
+    for addr, window in sweeps:
+        assert scan_prologue(dump, addr, window, steps) == scan_prologue(dump, addr, window)
+    return steps
+
+
+def test_step_memo_matches_fresh_sweeps_on_builtins(forged):
+    for spec in builtin_scenarios():
+        scenario = forged(spec.name)
+        pointers = sorted({
+            p for t in scenario.truth.tables.values()
+            for p in (*t.true_pointers.values(), *t.final_pointers.values())
+            if p and scenario.dump.in_span(p)
+        })
+        assert pointers, spec.name
+        assert_memo_equivalent(scenario.dump, [
+            (p + delta, window) for window in (32, 1, 256, 7) for p in pointers for delta in (0, 1)
+        ])
+
+
+_CODE_PIECES = st.sampled_from([
+    b"\x90", b"\xC3", b"\x74\x00", b"\x74\x02", b"\xEB\xFE", b"\x0F\x84\x00\x00\x00\x00",
+    b"\xE8\x10\x00\x00\x00", b"\xFF\x15\x08\x00\x00\x00", b"\xFF\x25\xF0\xFF\xFF\xFF",
+    b"\x48\x89\x5C\x24\x08", b"\xFF\xD0", b"\x0F\x0B",
+]) | st.binary(min_size=1, max_size=4)
+
+
+@given(
+    st.lists(_CODE_PIECES, min_size=1, max_size=40).map(b"".join),
+    st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 64)), min_size=1, max_size=30),
+)
+def test_step_memo_matches_fresh_sweeps_on_random_code(code, picks):
+    dump = MemoryDump.from_regions([(0, code)])
+    assert_memo_equivalent(dump, [(at % len(code), window) for at, window in picks])
+
+
+def test_step_memo_keeps_call_cut_by_dump_end_opaque():
+    # The sweep from span-0x10 caches the cut-off call at span-4 as opaque.
+    dump = make_code_dump(b"\x90" * 12 + b"\xE8", at=0xF0, span=0x100)
+    steps = assert_memo_equivalent(dump, [(0xF0, 32), (0xFC, 32), (0xFB, 1)])
+    assert steps[0xFC] == (0, STOP_OPAQUE, None)
+    assert scan_prologue(dump, 0xFC, 32, steps).end_addr == 0xFC
+
+
 def test_relative_target_law_against_dump_bytes(forged):
     scenario = forged("nested-3")
     dump = scenario.dump
@@ -445,9 +493,9 @@ def record_sweeps(monkeypatch) -> list[int]:
     swept = []
     scan = inline_hooks.scan_prologue
 
-    def recording(dump, addr, window=inline_hooks.DEFAULT_PROLOGUE_WINDOW):
+    def recording(dump, addr, *args):
         swept.append(addr)
-        return scan(dump, addr, window)
+        return scan(dump, addr, *args)
 
     monkeypatch.setattr(inline_hooks, "scan_prologue", recording)
     return swept
@@ -491,3 +539,49 @@ def test_escape_behind_ladder_reported_once(forged, max_depth):
     assert len(finding.chain) == 2
     assert finding.hook_addr == function_addr
     assert finding.chain[-1].at == jmp_at and finding.final_target == payload
+
+
+@pytest.mark.parametrize("max_depth", [3, 6])
+def test_ladder_decodes_each_address_once(forged, monkeypatch, max_depth):
+    # The 17 ladder sweeps overlap; each instruction is decoded by the first.
+    scenario = forged("clean")
+    function_addr = scenario.truth.tables["boot"].true_pointers["RaiseTPL"]
+    dump = patch_dump(scenario.dump, function_addr, LADDER)
+    table, image_map = raise_tpl_only(dump)
+    decoded = []
+    decode = inline_hooks.decode_instruction
+
+    def recording(window, at):
+        decoded.append(at)
+        return decode(window, at)
+
+    monkeypatch.setattr(inline_hooks, "decode_instruction", recording)
+    assert detect_inline_hooks(dump, table, image_map, max_depth=max_depth) == []
+    assert function_addr + len(LADDER) - 2 in decoded
+    assert len(decoded) == len(set(decoded))
+
+
+def test_services_share_the_sweep_of_a_common_site(monkeypatch):
+    # Two services jz to one in-image helper that jmps out of the image:
+    # the helper is swept once, and each service keeps its own finding.
+    buf = bytearray(0x4000)
+    helper = 0x1800
+    for function_addr in (0x1100, 0x1200):
+        buf[function_addr:function_addr + 7] = (
+            b"\x0F\x84" + struct.pack("<i", helper - (function_addr + 6)) + b"\xC3"
+        )
+    buf[helper:helper + 5] = b"\xE9" + struct.pack("<i", 0x3000 - (helper + 5))
+    dump = MemoryDump.from_regions([(0, bytes(buf))])
+    record = LoadedImageRecord(0, 0x1000, 0x1000, ImageIdentity(file_path="\\a.efi"))
+    table = replace(
+        make_synthetic_table(0x1100),
+        entries=(ServiceEntry(0, "RaiseTPL", 0x1100), ServiceEntry(1, "RestoreTPL", 0x1200)),
+    )
+    swept = record_sweeps(monkeypatch)
+    findings = detect_inline_hooks(dump, table, ImageMap([record]))
+    assert swept == [0x1100, helper, 0x1200]
+    assert [(f.service_name, f.hook_addr, f.chain[-1].at) for f in findings] == [
+        ("RaiseTPL", 0x1100, helper),
+        ("RestoreTPL", 0x1200, helper),
+    ]
+    assert all(f.final_target == 0x3000 for f in findings)

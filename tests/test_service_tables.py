@@ -149,7 +149,7 @@ def test_locate_tables_clean_fixture(forged):
 
 def test_locate_tables_excludes_decoy(forged):
     scenario = forged("decoy-heavy")
-    decoy_addrs = {int(d["addr"], 16) for d in scenario.truth.decoys}
+    decoy_addrs = {d.addr for d in scenario.truth.decoys}
     candidates = find_table_candidates(scenario.dump)
     assert any(addr in decoy_addrs for _, addr in candidates)  # scan sees it
     tables, anomalies = locate_tables(scenario.dump)
