@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,54 +108,66 @@ def carve_images(
     carved: list[CarvedImage] = []
     anomalies: list[Anomaly] = []
     used_names: set[str] = set()
-    for record in image_map.records:
-        try:
-            chunks = dump.iter_range(record.image_base, record.image_size)
-        except OutOfBoundsRead as exc:
-            anomalies.append(Anomaly("carve_skipped", record.image_base, str(exc)))
-            continue
-        pe_valid, machine, pe_size = read_pe_header(dump, record.image_base, record.image_size)
-        if not pe_valid:
-            anomalies.append(
-                Anomaly(
-                    "carved_image_invalid_pe",
-                    record.image_base,
-                    f"{record.identity.label}: bytes at image base fail PE validation",
+    with ThreadPoolExecutor(max_workers=1) as hasher:
+        for record in image_map.records:
+            try:
+                chunks = dump.iter_range(record.image_base, record.image_size)
+            except OutOfBoundsRead as exc:
+                anomalies.append(Anomaly("carve_skipped", record.image_base, str(exc)))
+                continue
+            pe_valid, machine, pe_size = read_pe_header(dump, record.image_base, record.image_size)
+            if not pe_valid:
+                anomalies.append(
+                    Anomaly(
+                        "carved_image_invalid_pe",
+                        record.image_base,
+                        f"{record.identity.label}: bytes at image base fail PE validation",
+                    )
+                )
+            elif pe_size is not None and pe_size != record.image_size:
+                anomalies.append(
+                    Anomaly(
+                        "carved_image_size_mismatch",
+                        record.image_base,
+                        f"{record.identity.label}: ldri image_size {record.image_size:#x} "
+                        f"!= PE SizeOfImage {pe_size:#x}",
+                    )
+                )
+            name = _unique_name(_sanitize_name(record.identity), used_names)
+            carved.append(
+                CarvedImage(
+                    identity=record.identity,
+                    image_base=record.image_base,
+                    image_size=record.image_size,
+                    output_name=name,
+                    pe_valid=pe_valid,
+                    machine=machine,
+                    sha256=_write_hashed(out_dir / name, chunks, hasher),
                 )
             )
-        elif pe_size is not None and pe_size != record.image_size:
-            anomalies.append(
-                Anomaly(
-                    "carved_image_size_mismatch",
-                    record.image_base,
-                    f"{record.identity.label}: ldri image_size {record.image_size:#x} "
-                    f"!= PE SizeOfImage {pe_size:#x}",
-                )
-            )
-        name = _unique_name(_sanitize_name(record.identity), used_names)
-        digest = hashlib.sha256()
-        with open(out_dir / name, "wb") as fh:
-            for chunk in chunks:
-                digest.update(chunk)
-                if isinstance(chunk, bytes):  # a gap's zero run: leave a hole
-                    fh.seek(len(chunk), os.SEEK_CUR)
-                else:
-                    fh.write(chunk)
-            fh.truncate()
-        carved.append(
-            CarvedImage(
-                identity=record.identity,
-                image_base=record.image_base,
-                image_size=record.image_size,
-                output_name=name,
-                pe_valid=pe_valid,
-                machine=machine,
-                sha256=digest.hexdigest(),
-            )
-        )
     _write_manifest(out_dir / MANIFEST_NAME, carved)
     logger.info("carved %d image(s) into %s", len(carved), out_dir)
     return carved, anomalies
+
+
+def _write_hashed(path: Path, chunks, hasher: ThreadPoolExecutor) -> str:
+    """Write ``chunks`` to ``path``, seeking over gap runs; their SHA-256.
+
+    Each chunk is hashed on ``hasher`` while this thread writes it (or seeks
+    over it): SHA-256 and file writes both release the GIL. The next chunk
+    starts once both are done, so one chunk is in flight at a time.
+    """
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            hashed = hasher.submit(digest.update, chunk)
+            if isinstance(chunk, bytes):  # a gap's zero run: leave a hole
+                fh.seek(len(chunk), os.SEEK_CUR)
+            else:
+                fh.write(chunk)
+            hashed.result()
+        fh.truncate()
+    return digest.hexdigest()
 
 
 def manifest_entry(image: CarvedImage) -> dict:

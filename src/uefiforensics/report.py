@@ -10,6 +10,7 @@ human-readable text block per table. Wall-clock time lives only in
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -64,6 +65,7 @@ class TableReport:
 @dataclass
 class AnalysisReport:
     dump: MemoryDump
+    sha256: str  # content_sha256 of the dump
     tables: list[TableReport]
     image_map: ImageMap
     pointer_findings: list[PointerHookFinding]
@@ -98,18 +100,11 @@ def content_sha256(dump: MemoryDump) -> str:
     return h.hexdigest()
 
 
-def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> AnalysisReport:
-    """Run parse -> detect -> (optionally) carve over a loaded dump.
-
-    A ``baseline_guid`` naming no loaded image raises ``BaselineError`` first.
-    """
-    options = options or AnalysisOptions()
-    image_map = scan_loaded_images(dump)
-    override = None
-    if options.baseline_guid is not None:
-        override = image_map.by_guid(options.baseline_guid)
-        if override is None:
-            raise BaselineError(f"no loaded image has GUID {options.baseline_guid}")
+def _inspect_tables(
+    dump: MemoryDump, image_map: ImageMap, override: LoadedImageRecord | None,
+    options: AnalysisOptions,
+) -> tuple[list[TableReport], list[PointerHookFinding], list[InlineHookFinding], list[Anomaly]]:
+    """Locate, check and sweep every service table; findings and anomalies sorted."""
     tables, table_anomalies = locate_tables(dump)
     anomalies = list(table_anomalies) + list(image_map.anomalies)
 
@@ -144,20 +139,48 @@ def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> An
         key=lambda f: (_KIND_RANK[f.table_kind], f.service_name, f.hook_addr)
     )
     anomalies.sort(key=lambda a: (a.kind, a.addr if a.addr is not None else -1, a.detail))
+    return table_reports, pointer_findings, inline_findings, anomalies
 
-    report = AnalysisReport(
-        dump=dump,
-        tables=table_reports,
-        image_map=image_map,
-        pointer_findings=pointer_findings,
-        inline_findings=inline_findings,
-        anomalies=anomalies,
-    )
-    if options.carve_dir:
-        carved, carve_anomalies = carve_images(dump, image_map, options.carve_dir)
-        report.carved = carved
-        report.carve_dir = options.carve_dir
-        report.anomalies.extend(carve_anomalies)
+
+def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> AnalysisReport:
+    """Run parse -> detect -> (optionally) carve over a loaded dump.
+
+    A ``baseline_guid`` naming no loaded image raises ``BaselineError``
+    before anything is carved. The content hash and the carve run on two
+    worker threads while this one scans and detects: SHA-256 and file
+    writes release the GIL, ``bytes.find`` holds it. Carve anomalies follow
+    the sorted ones.
+    """
+    options = options or AnalysisOptions()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        digest = pool.submit(content_sha256, dump)
+        image_map = scan_loaded_images(dump)
+        override = None
+        if options.baseline_guid is not None:
+            override = image_map.by_guid(options.baseline_guid)
+            if override is None:
+                raise BaselineError(f"no loaded image has GUID {options.baseline_guid}")
+        carving = (
+            pool.submit(carve_images, dump, image_map, options.carve_dir)
+            if options.carve_dir else None
+        )
+        tables, pointer_findings, inline_findings, anomalies = _inspect_tables(
+            dump, image_map, override, options
+        )
+        report = AnalysisReport(
+            dump=dump,
+            sha256=digest.result(),
+            tables=tables,
+            image_map=image_map,
+            pointer_findings=pointer_findings,
+            inline_findings=inline_findings,
+            anomalies=anomalies,
+        )
+        if carving is not None:
+            carved, carve_anomalies = carving.result()
+            report.carved = carved
+            report.carve_dir = options.carve_dir
+            report.anomalies.extend(carve_anomalies)
     return report
 
 
@@ -184,7 +207,7 @@ def to_json_dict(report: AnalysisReport) -> dict:
             "regions": [
                 {"phys_start": _hx(r.phys_start), "length": r.length} for r in dump.regions
             ],
-            "sha256": content_sha256(dump),
+            "sha256": report.sha256,
         },
         "tables": [
             {

@@ -1,5 +1,6 @@
 import json
 import struct
+import threading
 from dataclasses import replace
 
 import pytest
@@ -183,6 +184,18 @@ def test_baseline_guid_naming_no_image_carves_nothing(fixture_dir, tmp_path, cap
     assert rc == 1
     assert f"error: no loaded image has GUID {zero}" in capsys.readouterr().err
     assert not carve_dir.exists()
+
+
+def test_carve_out_onto_a_file_exit_1_and_joins_workers(fixture_dir, tmp_path, capsys):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_bytes(b"")
+    before = threading.active_count()
+    rc = main(["analyze", str(fixture_dir / "efiguard.dump"), "--carve-out", str(blocker)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "verdict" not in captured.out
+    assert "error:" in captured.err
+    assert threading.active_count() == before
 
 
 def test_baseline_guid_accepts_braced_lowercase(fixture_dir, capsys):
