@@ -20,7 +20,6 @@ from .service_tables import (  # noqa: F401
     ServiceTable,
     TableKind,
     TableParseError,
-    canonical_layout,
     compute_table_crc32,
     crc32_ieee,
     locate_tables,

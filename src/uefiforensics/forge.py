@@ -31,14 +31,12 @@ from typing import NamedTuple
 
 from .dump_model import MemoryDump
 from .image_registry import LDRI_RECORD, LDRI_RECORD_LEN, LDRI_SIGNATURE
-from .inline_hooks import DEFAULT_MAX_DEPTH
+from .inline_hooks import DEFAULT_MAX_DEPTH, TransferKind
 from .service_tables import (
     ENTRY_LEN,
     HEADER_LEN,
     TABLE_HEADER,
     TableKind,
-    KIND_ORDER,
-    canonical_layout,
     crc32_ieee,
 )
 
@@ -133,11 +131,9 @@ class Geometry:
     """
 
     core_base: int = 0x3E40_0000
-    core_size: int = 0x2_0000
     table_base: int = 0x3F00_0000
     ldri_base: int = 0x3F08_0000
     aux_base: int = 0x3F10_0000
-    aux_align: int = 0x1_0000
     low_region_len: int = 0x2000
     region_align: int = 0x1_0000
 
@@ -147,11 +143,9 @@ DEFAULT_GEOMETRY = Geometry()
 # Small address space for high-volume randomized testing.
 COMPACT_GEOMETRY = Geometry(
     core_base=0x10_0000,
-    core_size=0x8000,
     table_base=0x20_0000,
     ldri_base=0x20_8000,
     aux_base=0x21_0000,
-    aux_align=0x1000,
     low_region_len=0x1000,
     region_align=0x1000,
 )
@@ -208,7 +202,7 @@ class ScenarioSpec:
 @dataclass(frozen=True)
 class TransferTruth:
     at: int
-    kind: str
+    kind: TransferKind
     length: int
     target: int | None
     encoding: str  # hex bytes of the instruction
@@ -544,7 +538,7 @@ def _validate_spec(spec: ScenarioSpec) -> None:
     ]
     hooked: set[tuple[TableKind, str]] = set()
     for table, service, key, what in hooks:
-        if service not in canonical_layout(table):
+        if service not in table.services:
             raise ForgeError(f"unknown service {service!r} for {table.value} table")
         if key not in by_key:
             raise ForgeError(f"{what} image {key!r} not in scenario")
@@ -554,7 +548,7 @@ def _validate_spec(spec: ScenarioSpec) -> None:
             raise ForgeError(f"duplicate hook on {table.value}:{service}")
         hooked.add((table, service))
     for kind, name in spec.null_services:
-        if name not in canonical_layout(kind):
+        if name not in kind.services:
             raise ForgeError(f"unknown null service {name!r} for {kind.value} table")
         if (kind, name) in hooked:
             raise ForgeError(f"service {kind.value}:{name} cannot be both hooked and null")
@@ -563,11 +557,14 @@ def _validate_spec(spec: ScenarioSpec) -> None:
             raise ForgeError(f"unknown decoy kind {decoy.kind!r}")
 
 
+_KIND_BY_SERVICE = {name: kind for kind in TableKind for name in kind.services}
+
+
 def _table_of_service(service: str) -> TableKind:
-    for kind in KIND_ORDER:
-        if service in canonical_layout(kind):
-            return kind
-    raise ForgeError(f"service {service!r} not in any table layout")
+    try:
+        return _KIND_BY_SERVICE[service]
+    except KeyError:
+        raise ForgeError(f"service {service!r} not in any table layout") from None
 
 
 def _ldri_span(spec: ScenarioSpec) -> int:
@@ -668,7 +665,7 @@ def _place(spec: ScenarioSpec) -> tuple[_Layout, dict[str, _PlacedImage]]:
     """Place the tables, the records and every image; write each image's PE headers."""
     geom = spec.geometry
     layout = _Layout(geom)
-    layout.place(geom.table_base, TABLE_STRIDE * len(KIND_ORDER), "service tables")
+    layout.place(geom.table_base, TABLE_STRIDE * len(TableKind), "service tables")
     layout.place(geom.ldri_base, _ldri_span(spec), "image records")
     placed: dict[str, _PlacedImage] = {}
     auto_base = geom.aux_base
@@ -677,12 +674,11 @@ def _place(spec: ScenarioSpec) -> tuple[_Layout, dict[str, _PlacedImage]]:
         image = replace(image, guid=_normalize_guid(image.guid) if image.guid else None)
         if image.role == ROLE_CORE:
             base = image.base if image.base is not None else geom.core_base
-            image = replace(image, size=max(image.size, geom.core_size))
         elif image.base is not None:
             base = image.base
         else:
             base = auto_base
-            auto_base = -(-(base + image.size) // geom.aux_align) * geom.aux_align
+            auto_base = -(-(base + image.size) // geom.region_align) * geom.region_align
         layout.place(base, image.size, f"image {key!r}")
         placed[key] = _PlacedImage(image, base, geom.ldri_base + idx * LDRI_CELL_SIZE)
     layout.build()
@@ -715,7 +711,7 @@ def _write_stubs(layout, core, rng, plans):
     Returns the stub address of each service, each stub's instruction
     listing and the inline hook truths.
     """
-    services = [(kind, name) for kind in KIND_ORDER for name in canonical_layout(kind)]
+    services = [(kind, name) for kind in TableKind for name in kind.services]
     if STUB_AREA_OFFSET + len(services) * STUB_SIZE > CHAIN_AREA_OFFSET:
         raise ForgeError("stub area overflows into chain area")
     stub_addrs: dict[tuple[TableKind, str], int] = {}
@@ -753,10 +749,10 @@ def _write_hook(layout, addr: int, plan: _InlinePlan) -> tuple[list[bytes], Inli
     if hook.style == STYLE_MOV_JMP:  # mov rax, imm64; jmp rax
         jmp = b"\xFF\xE0"
         instructions = [b"\x48\xB8" + struct.pack("<Q", plan.payload_addr), jmp]
-        chain = [TransferTruth(addr + 10, "jmp_indirect", 2, None, jmp.hex())]
+        chain = [TransferTruth(addr + 10, TransferKind.JMP_INDIRECT, 2, None, jmp.hex())]
     else:
-        opcode, kind = ((b"\xE8", "call_relative") if hook.style == STYLE_CALL_REL32
-                        else (b"\xE9", "jmp_relative"))
+        opcode, kind = ((b"\xE8", TransferKind.CALL_RELATIVE) if hook.style == STYLE_CALL_REL32
+                        else (b"\xE9", TransferKind.JMP_RELATIVE))
         enc = opcode + _rel32(addr, 5, hops[0])
         instructions = [enc]
         chain = [TransferTruth(addr, kind, 5, hops[0], enc.hex())]
@@ -764,7 +760,7 @@ def _write_hook(layout, addr: int, plan: _InlinePlan) -> tuple[list[bytes], Inli
     for site, target in zip(plan.sites, hops[1:]):
         enc = b"\xE9" + _rel32(site, 5, target)
         layout.write(site, enc.ljust(CHAIN_SITE_SIZE, b"\xCC"))
-        chain.append(TransferTruth(site, "jmp_relative", 5, target, enc.hex()))
+        chain.append(TransferTruth(site, TransferKind.JMP_RELATIVE, 5, target, enc.hex()))
     layout.write(plan.payload_addr, b"\x90\x90\xC3")  # inert payload marker
     truth = InlineHookTruth(
         table=plan.table,
@@ -786,7 +782,7 @@ def _write_cells(layout, spec, placed, rng) -> list[PointerHookTruth]:
     for hook in spec.pointer_hooks:
         addr = placed[hook.target].reserve_cell()
         layout.write(addr, b"".join(_benign_body(rng, AUX_CELL_SIZE)))
-        index = canonical_layout(hook.table).index(hook.service)
+        index = hook.table.services.index(hook.service)
         truths.append(PointerHookTruth(hook.table, hook.service, index, addr, hook.target))
     return truths
 
@@ -796,9 +792,9 @@ def _write_tables(layout, spec, stub_addrs, pointer_truths) -> dict[str, TableTr
     geom = spec.geometry
     nulls = set(spec.null_services)
     truths = {}
-    for pos, kind in enumerate(KIND_ORDER):
-        names = canonical_layout(kind)
-        addr = geom.table_base + pos * TABLE_STRIDE
+    for kind in TableKind:
+        names = kind.services
+        addr = geom.table_base + kind.rank * TABLE_STRIDE
         header_size = HEADER_LEN + ENTRY_LEN * len(names)
         revision = DXE_REVISION if kind is TableKind.DXE else BOOT_REVISION
 
@@ -846,7 +842,7 @@ def _write_decoys(layout, spec, core) -> list[DecoyTruth]:
         if decoy.kind == DECOY_FAKE_SIGNATURE:
             # Table signature inside image file data with an insane header.
             addr = core.base + DECOY_SIG_OFFSET
-            layout.write(addr, TABLE_HEADER.pack(b"BOOTSERV", BOOT_REVISION, 0, 0, 0))
+            layout.write(addr, TABLE_HEADER.pack(TableKind.BOOT.signature, BOOT_REVISION, 0, 0, 0))
         else:
             # ldri bytes whose size field cannot possibly be a real image.
             addr = spec.geometry.ldri_base + _ldri_span(spec) - 0x800

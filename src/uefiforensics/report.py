@@ -32,7 +32,6 @@ from .pointer_hooks import (
     infer_baseline,
 )
 from .service_tables import (
-    KIND_ORDER,
     CrcStatus,
     ServiceTable,
     locate_tables,
@@ -42,8 +41,6 @@ from .service_tables import (
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
 EXIT_FINDINGS = 2
-
-_KIND_RANK = {kind: i for i, kind in enumerate(KIND_ORDER)}
 
 
 @dataclass(frozen=True)
@@ -134,10 +131,8 @@ def _inspect_tables(
             )
         )
 
-    pointer_findings.sort(key=lambda f: (_KIND_RANK[f.table_kind], f.service_index))
-    inline_findings.sort(
-        key=lambda f: (_KIND_RANK[f.table_kind], f.service_name, f.hook_addr)
-    )
+    pointer_findings.sort(key=lambda f: (f.table_kind.rank, f.service_index))
+    inline_findings.sort(key=lambda f: (f.table_kind.rank, f.service_name, f.hook_addr))
     anomalies.sort(key=lambda a: (a.kind, a.addr if a.addr is not None else -1, a.detail))
     return table_reports, pointer_findings, inline_findings, anomalies
 

@@ -22,129 +22,115 @@ ENTRY_LEN = 8
 MAX_HEADER_SIZE = 4096
 CRC_FIELD_OFFSET = 16
 
-BOOT_SIGNATURE = b"BOOTSERV"
-RUNTIME_SIGNATURE = b"RUNTSERV"
-DXE_SIGNATURE = b"DXE_SERV"
-
-BOOT_SERVICES = (
-    "RaiseTPL",
-    "RestoreTPL",
-    "AllocatePages",
-    "FreePages",
-    "GetMemoryMap",
-    "AllocatePool",
-    "FreePool",
-    "CreateEvent",
-    "SetTimer",
-    "WaitForEvent",
-    "SignalEvent",
-    "CloseEvent",
-    "CheckEvent",
-    "InstallProtocolInterface",
-    "ReinstallProtocolInterface",
-    "UninstallProtocolInterface",
-    "HandleProtocol",
-    "Reserved",
-    "RegisterProtocolNotify",
-    "LocateHandle",
-    "LocateDevicePath",
-    "InstallConfigurationTable",
-    "LoadImage",
-    "StartImage",
-    "Exit",
-    "UnloadImage",
-    "ExitBootServices",
-    "GetNextMonotonicCount",
-    "Stall",
-    "SetWatchdogTimer",
-    "ConnectController",
-    "DisconnectController",
-    "OpenProtocol",
-    "CloseProtocol",
-    "OpenProtocolInformation",
-    "ProtocolsPerHandle",
-    "LocateHandleBuffer",
-    "LocateProtocol",
-    "InstallMultipleProtocolInterfaces",
-    "UninstallMultipleProtocolInterfaces",
-    "CalculateCrc32",
-    "CopyMem",
-    "SetMem",
-    "CreateEventEx",
-)
-
-RUNTIME_SERVICES = (
-    "GetTime",
-    "SetTime",
-    "GetWakeupTime",
-    "SetWakeupTime",
-    "SetVirtualAddressMap",
-    "ConvertPointer",
-    "GetVariable",
-    "GetNextVariableName",
-    "SetVariable",
-    "GetNextHighMonotonicCount",
-    "ResetSystem",
-    "UpdateCapsule",
-    "QueryCapsuleCapabilities",
-    "QueryVariableInfo",
-)
-
-DXE_SERVICES = (
-    "AddMemorySpace",
-    "AllocateMemorySpace",
-    "FreeMemorySpace",
-    "RemoveMemorySpace",
-    "GetMemorySpaceDescriptor",
-    "SetMemorySpaceAttributes",
-    "GetMemorySpaceMap",
-    "AddIoSpace",
-    "AllocateIoSpace",
-    "FreeIoSpace",
-    "RemoveIoSpace",
-    "GetIoSpaceDescriptor",
-    "GetIoSpaceMap",
-    "Dispatch",
-    "Schedule",
-    "Trust",
-    "ProcessFirmwareVolume",
-)
-
 
 class TableKind(enum.Enum):
-    BOOT = "boot"
-    RUNTIME = "runtime"
-    DXE = "dxe"
+    """One service table kind, the one place its facts are stated.
 
-    @property
-    def signature(self) -> bytes:
-        return _SIGNATURES[self]
+    ``.value`` is the report name, ``.signature`` the 8-byte table
+    signature, ``.services`` the spec's service order and ``.rank`` the
+    report order, which is also the order the members iterate in.
+    """
+
+    signature: bytes
+    services: tuple[str, ...]
+    rank: int
+
+    def __new__(cls, value: str, signature: bytes, services: tuple[str, ...]):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.signature = signature
+        member.services = services
+        member.rank = len(cls.__members__)
+        return member
+
+    BOOT = "boot", b"BOOTSERV", (
+        "RaiseTPL",
+        "RestoreTPL",
+        "AllocatePages",
+        "FreePages",
+        "GetMemoryMap",
+        "AllocatePool",
+        "FreePool",
+        "CreateEvent",
+        "SetTimer",
+        "WaitForEvent",
+        "SignalEvent",
+        "CloseEvent",
+        "CheckEvent",
+        "InstallProtocolInterface",
+        "ReinstallProtocolInterface",
+        "UninstallProtocolInterface",
+        "HandleProtocol",
+        "Reserved",
+        "RegisterProtocolNotify",
+        "LocateHandle",
+        "LocateDevicePath",
+        "InstallConfigurationTable",
+        "LoadImage",
+        "StartImage",
+        "Exit",
+        "UnloadImage",
+        "ExitBootServices",
+        "GetNextMonotonicCount",
+        "Stall",
+        "SetWatchdogTimer",
+        "ConnectController",
+        "DisconnectController",
+        "OpenProtocol",
+        "CloseProtocol",
+        "OpenProtocolInformation",
+        "ProtocolsPerHandle",
+        "LocateHandleBuffer",
+        "LocateProtocol",
+        "InstallMultipleProtocolInterfaces",
+        "UninstallMultipleProtocolInterfaces",
+        "CalculateCrc32",
+        "CopyMem",
+        "SetMem",
+        "CreateEventEx",
+    )
+    RUNTIME = "runtime", b"RUNTSERV", (
+        "GetTime",
+        "SetTime",
+        "GetWakeupTime",
+        "SetWakeupTime",
+        "SetVirtualAddressMap",
+        "ConvertPointer",
+        "GetVariable",
+        "GetNextVariableName",
+        "SetVariable",
+        "GetNextHighMonotonicCount",
+        "ResetSystem",
+        "UpdateCapsule",
+        "QueryCapsuleCapabilities",
+        "QueryVariableInfo",
+    )
+    DXE = "dxe", b"DXE_SERV", (
+        "AddMemorySpace",
+        "AllocateMemorySpace",
+        "FreeMemorySpace",
+        "RemoveMemorySpace",
+        "GetMemorySpaceDescriptor",
+        "SetMemorySpaceAttributes",
+        "GetMemorySpaceMap",
+        "AddIoSpace",
+        "AllocateIoSpace",
+        "FreeIoSpace",
+        "RemoveIoSpace",
+        "GetIoSpaceDescriptor",
+        "GetIoSpaceMap",
+        "Dispatch",
+        "Schedule",
+        "Trust",
+        "ProcessFirmwareVolume",
+    )
 
 
-_SIGNATURES = {
-    TableKind.BOOT: BOOT_SIGNATURE,
-    TableKind.RUNTIME: RUNTIME_SIGNATURE,
-    TableKind.DXE: DXE_SIGNATURE,
-}
-
-_LAYOUTS = {
-    TableKind.BOOT: BOOT_SERVICES,
-    TableKind.RUNTIME: RUNTIME_SERVICES,
-    TableKind.DXE: DXE_SERVICES,
-}
-
-_KIND_BY_SIGNATURE = {sig: kind for kind, sig in _SIGNATURES.items()}
+_KIND_BY_SIGNATURE = {kind.signature: kind for kind in TableKind}
 # Every table signature ends in this suffix, so one scan for it finds all three.
 _SUFFIX = b"SERV"
-_PREFIX_LEN = len(BOOT_SIGNATURE) - len(_SUFFIX)
-
-# Fixed presentation/sort order for reports.
-KIND_ORDER = (TableKind.BOOT, TableKind.RUNTIME, TableKind.DXE)
-
-
-def canonical_layout(kind: TableKind) -> tuple[str, ...]:
-    """Return the canonical service name ordering for a table kind."""
-    return _LAYOUTS[kind]
+_SIGNATURE_LEN = 8
+_PREFIX_LEN = _SIGNATURE_LEN - len(_SUFFIX)
 
 
 class TableParseError(Exception):
@@ -212,7 +198,7 @@ def parse_table(dump: MemoryDump, kind: TableKind, addr: PhysAddr) -> ServiceTab
     if not HEADER_LEN <= header_size <= MAX_HEADER_SIZE:
         raise TableParseError(f"header_size {header_size} at {addr:#x} out of sanity bounds")
 
-    names = canonical_layout(kind)
+    names = kind.services
     flags: list[str] = []
     full_size = HEADER_LEN + ENTRY_LEN * len(names)
     if header_size == HEADER_LEN:
@@ -245,10 +231,10 @@ def find_table_candidates(dump: MemoryDump) -> list[tuple[TableKind, PhysAddr]]:
     for suffix_addr in dump.find_signature(_SUFFIX):
         addr = suffix_addr - _PREFIX_LEN
         if addr >= 0:
-            kind = _KIND_BY_SIGNATURE.get(dump.read_bytes(addr, len(BOOT_SIGNATURE)))
+            kind = _KIND_BY_SIGNATURE.get(dump.read_bytes(addr, _SIGNATURE_LEN))
             if kind is not None:
                 candidates.append((kind, addr))
-    return sorted(candidates, key=lambda c: (KIND_ORDER.index(c[0]), c[1]))
+    return sorted(candidates, key=lambda c: (c[0].rank, c[1]))
 
 
 def locate_tables(dump: MemoryDump) -> tuple[list[ServiceTable], list[Anomaly]]:
@@ -266,7 +252,7 @@ def locate_tables(dump: MemoryDump) -> tuple[list[ServiceTable], list[Anomaly]]:
             tables.append(parse_table(dump, kind, addr))
         except TableParseError as exc:
             anomalies.append(Anomaly("table_candidate_rejected", addr, str(exc)))
-    for kind in KIND_ORDER:
+    for kind in TableKind:
         of_kind = [t for t in tables if t.kind is kind]
         if not of_kind:
             anomalies.append(Anomaly("table_missing", None, f"no valid {kind.value} table found"))

@@ -29,7 +29,7 @@ from uefiforensics.forge import (
     PointerHookSpec,
     ScenarioSpec,
 )
-from uefiforensics.service_tables import TableKind, canonical_layout
+from uefiforensics.service_tables import TableKind
 
 
 def crc32_reference(data: bytes) -> int:
@@ -108,7 +108,7 @@ def random_scenario(rng: Random, index: int) -> ScenarioSpec:
     pointer_hooks = []
     for _ in range(rng.randint(0, 4)):
         kind = rng.choice(tuple(TableKind))
-        service = rng.choice(canonical_layout(kind))
+        service = rng.choice(kind.services)
         if (kind, service) in used:
             continue
         used.add((kind, service))
@@ -116,7 +116,7 @@ def random_scenario(rng: Random, index: int) -> ScenarioSpec:
     inline_hooks = []
     for _ in range(rng.randint(0, 2)):
         kind = rng.choice(tuple(TableKind))
-        service = rng.choice(canonical_layout(kind))
+        service = rng.choice(kind.services)
         if (kind, service) in used:
             continue
         used.add((kind, service))
@@ -129,7 +129,7 @@ def random_scenario(rng: Random, index: int) -> ScenarioSpec:
     null_services = []
     for _ in range(rng.randint(0, 2)):
         kind = rng.choice(tuple(TableKind))
-        service = rng.choice(canonical_layout(kind))
+        service = rng.choice(kind.services)
         if (kind, service) in used:
             continue
         used.add((kind, service))

@@ -194,7 +194,8 @@ def test_c10_structural_laws_over_randomized_dumps():
             for t in hook.chain:
                 raw = dump.read_bytes(t.at, t.length)
                 assert raw.hex() == t.encoding
-                if t.kind in ("call_relative", "jmp_relative") and t.target is not None:
+                relative = t.kind in (TransferKind.CALL_RELATIVE, TransferKind.JMP_RELATIVE)
+                if relative and t.target is not None:
                     disp = sext(struct.unpack("<i", raw[1:5])[0], 32)
                     assert (t.at + t.length + disp) & ((1 << 64) - 1) == t.target
 

@@ -11,7 +11,7 @@ from uefiforensics.forge import COMPACT_GEOMETRY, build_minimal_pe, build_scenar
 from uefiforensics.image_registry import LDRI_RECORD, LDRI_SIGNATURE, MAX_PATH_CHARS
 from uefiforensics.inline_hooks import MAX_DEPTH_LIMIT, PROLOGUE_WINDOW_LIMIT
 from uefiforensics.report import analyze_dump, to_json_dict
-from uefiforensics.service_tables import BOOT_SIGNATURE, TABLE_HEADER
+from uefiforensics.service_tables import TABLE_HEADER, TableKind
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +281,7 @@ def test_crc_range_past_dump_end_is_unverifiable(tmp_path, capsys):
     # CRC range 0xC00 bytes past the end of the 0x1000-byte dump.
     data = bytearray(0x1000)
     data[0xC00:0xC00 + TABLE_HEADER.size] = TABLE_HEADER.pack(
-        BOOT_SIGNATURE, 0x0002_0046, 4096, 0x1234_5678, 0
+        TableKind.BOOT.signature, 0x0002_0046, 4096, 0x1234_5678, 0
     )
     blob = tmp_path / "inflated.dump"
     blob.write_bytes(bytes(data))

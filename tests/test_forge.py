@@ -155,6 +155,12 @@ def test_validation_rejects_unknown_service():
         build_scenario(spec)
 
 
+def test_validation_rejects_unknown_inline_service():
+    spec = compact_spec(inline_hooks=(InlineHookSpec(service="NoSuch", payload="\\EFI\\x.efi"),))
+    with pytest.raises(ForgeError):
+        build_scenario(spec)
+
+
 def test_validation_rejects_core_target():
     spec = compact_spec(
         pointer_hooks=(PointerHookSpec(TableKind.BOOT, "LoadImage", CORE_GUID),)

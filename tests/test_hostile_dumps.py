@@ -24,7 +24,7 @@ from uefiforensics.forge import (
 from uefiforensics.image_registry import LDRI_RECORD, LDRI_RECORD_LEN
 from uefiforensics.pointer_hooks import SEVERITY_SUSPICIOUS
 from uefiforensics.report import analyze_dump, render_text, to_json_dict
-from uefiforensics.service_tables import ENTRY_LEN, HEADER_LEN, TableKind, canonical_layout
+from uefiforensics.service_tables import ENTRY_LEN, HEADER_LEN, TableKind
 
 SCENARIOS = ("clean", "efiguard", "nested-3", "decoy-heavy")
 PROLOGUE_BYTES = 32
@@ -106,7 +106,7 @@ def test_misaligned_hooked_table_copy_found():
     truth = compact("clean").truth
     boot = truth.tables["boot"]
     table = bytearray(compact("clean").dump.read_bytes(boot.addr, boot.header_size))
-    slot = HEADER_LEN + ENTRY_LEN * canonical_layout(TableKind.BOOT).index("LoadImage")
+    slot = HEADER_LEN + ENTRY_LEN * TableKind.BOOT.services.index("LoadImage")
     struct.pack_into("<Q", table, slot, truth.image_by_key(BOOTMGFW_PATH).base + 0x400)
     report = analyze_dump(patched("clean", [(boot.addr + 0x804, table)]))
     assert report.exit_code == 2

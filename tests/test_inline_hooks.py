@@ -306,7 +306,7 @@ def test_relative_target_law_against_dump_bytes(forged):
         for t in hook.chain:
             raw = dump.read_bytes(t.at, t.length)
             assert raw.hex() == t.encoding
-            if t.kind in ("call_relative", "jmp_relative") and t.length == 5:
+            if t.kind in (TransferKind.CALL_RELATIVE, TransferKind.JMP_RELATIVE) and t.length == 5:
                 disp = sext(struct.unpack("<i", raw[1:5])[0], 32)
                 assert (t.at + t.length + disp) & ((1 << 64) - 1) == t.target
 
@@ -348,7 +348,9 @@ def test_nested_3_chain(forged):
     f = findings[0]
     assert len(f.chain) == 3
     truth_chain = forged("nested-3").truth.inline_hooks[0].chain
-    assert [(t.at, t.target) for t in f.chain] == [(t.at, t.target) for t in truth_chain]
+    assert [(t.at, t.kind, t.target) for t in f.chain] == [
+        (t.at, t.kind, t.target) for t in truth_chain
+    ]
 
 
 def test_nested_4_beyond_depth_produces_nothing(forged):

@@ -82,7 +82,7 @@ def test_plurality_without_majority_is_low_confidence():
     import struct
 
     # 14 runtime pointers split 7/7 between two images: no strict majority.
-    names = st.canonical_layout(TableKind.RUNTIME)
+    names = TableKind.RUNTIME.services
     pointers = [0x10_0000 + 8 * i if i < 7 else 0x20_0000 + 8 * i for i in range(len(names))]
     raw = st.TABLE_HEADER.pack(b"RUNTSERV", 1, 24 + 8 * len(names), 0, 0)
     raw += b"".join(struct.pack("<Q", p) for p in pointers)
@@ -107,7 +107,7 @@ def test_no_resolvable_pointers_is_error():
     from uefiforensics.image_registry import ImageMap
     import struct
 
-    names = st.canonical_layout(TableKind.RUNTIME)
+    names = TableKind.RUNTIME.services
     raw = st.TABLE_HEADER.pack(b"RUNTSERV", 1, 24 + 8 * len(names), 0, 0)
     raw += b"".join(struct.pack("<Q", 0x9000 + i) for i in range(len(names)))
     buf = bytearray(0x2000)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from uefiforensics.dump_model import MemoryDump, load_dump
 from uefiforensics.inline_hooks import TransferKind, decode_instruction
-from uefiforensics.service_tables import KIND_ORDER, crc32_ieee, find_table_candidates
+from uefiforensics.service_tables import TableKind, crc32_ieee, find_table_candidates
 
 from helpers import brute_force_find, crc32_reference, sext
 
@@ -106,7 +106,7 @@ def planted_table_dumps(draw):
     """
     size = draw(st.integers(16, 0x200))
     flat = bytearray(draw(st.binary(min_size=size, max_size=size)))
-    token = st.sampled_from([k.signature for k in KIND_ORDER]) | st.binary(
+    token = st.sampled_from([k.signature for k in TableKind]) | st.binary(
         min_size=4, max_size=4).map(lambda prefix: prefix + b"SERV")
     offset = st.integers(0, size - 8) | st.integers(0, (size - 8) // 8).map(lambda i: 8 * i)
     for sig, at in draw(st.lists(st.tuples(token, offset), max_size=12)):
@@ -123,7 +123,7 @@ def planted_table_dumps(draw):
 @settings(max_examples=200)
 def test_one_suffix_scan_equals_per_kind_scans(dump):
     per_kind = [
-        (kind, addr) for kind in KIND_ORDER for addr in dump.find_signature(kind.signature)
+        (kind, addr) for kind in TableKind for addr in dump.find_signature(kind.signature)
     ]
     assert find_table_candidates(dump) == per_kind
 

@@ -4,14 +4,10 @@ import pytest
 
 from uefiforensics.dump_model import MemoryDump
 from uefiforensics.service_tables import (
-    BOOT_SERVICES,
-    DXE_SERVICES,
     HEADER_LEN,
-    RUNTIME_SERVICES,
     TABLE_HEADER,
     TableKind,
     TableParseError,
-    canonical_layout,
     compute_table_crc32,
     crc32_ieee,
     find_table_candidates,
@@ -25,29 +21,41 @@ from helpers import crc32_reference
 
 # Spot values frozen from the public UEFI 2.x / PI 1.x table orderings
 # (cross-checked against the EDK II structure definitions).
-def test_canonical_layout_spot_checks():
-    assert canonical_layout(TableKind.BOOT)[22] == "LoadImage"
-    assert canonical_layout(TableKind.RUNTIME)[8] == "SetVariable"
-    assert canonical_layout(TableKind.DXE)[16] == "ProcessFirmwareVolume"
-    assert canonical_layout(TableKind.BOOT)[0] == "RaiseTPL"
-    assert canonical_layout(TableKind.BOOT)[43] == "CreateEventEx"
-    assert canonical_layout(TableKind.BOOT)[17] == "Reserved"
-    assert canonical_layout(TableKind.RUNTIME)[0] == "GetTime"
-    assert canonical_layout(TableKind.RUNTIME)[13] == "QueryVariableInfo"
-    assert canonical_layout(TableKind.DXE)[0] == "AddMemorySpace"
+def test_service_order_spot_checks():
+    assert TableKind.BOOT.services[22] == "LoadImage"
+    assert TableKind.RUNTIME.services[8] == "SetVariable"
+    assert TableKind.DXE.services[16] == "ProcessFirmwareVolume"
+    assert TableKind.BOOT.services[0] == "RaiseTPL"
+    assert TableKind.BOOT.services[43] == "CreateEventEx"
+    assert TableKind.BOOT.services[17] == "Reserved"
+    assert TableKind.RUNTIME.services[0] == "GetTime"
+    assert TableKind.RUNTIME.services[13] == "QueryVariableInfo"
+    assert TableKind.DXE.services[0] == "AddMemorySpace"
 
 
 def test_layout_totality():
-    assert len(BOOT_SERVICES) == 44
-    assert len(RUNTIME_SERVICES) == 14
-    assert len(DXE_SERVICES) == 17
-    for layout in (BOOT_SERVICES, RUNTIME_SERVICES, DXE_SERVICES):
-        named = [n for n in layout if n != "Reserved"]
-        assert len(set(named)) == len(named)
+    assert len(TableKind.BOOT.services) == 44
+    assert len(TableKind.RUNTIME.services) == 14
+    assert len(TableKind.DXE.services) == 17
+
+
+def test_table_kind_invariants():
+    kinds = list(TableKind)
+    assert [k.value for k in kinds] == ["boot", "runtime", "dxe"]
+    assert [k.rank for k in kinds] == [0, 1, 2]
+    # One scan for the shared suffix finds every kind.
+    signatures = [k.signature for k in kinds]
+    assert all(len(sig) == 8 and sig.endswith(b"SERV") for sig in signatures)
+    assert len(set(signatures)) == len(signatures)
+    # The forge maps each service name to its one kind.
+    names = [name for k in kinds for name in k.services]
+    assert len(set(names)) == len(names) == 75
+    for k in kinds:
+        assert TableKind(k.value) is k
 
 
 def table_bytes(kind: TableKind, pointers, revision=0x0002_0046, header_size=None, crc=0):
-    names = canonical_layout(kind)
+    names = kind.services
     if header_size is None:
         header_size = HEADER_LEN + 8 * len(names)
     buf = bytearray(TABLE_HEADER.pack(kind.signature, revision, header_size, crc, 0))
