@@ -82,10 +82,10 @@ def _unique_name(base: str, used: set[str]) -> str:
     if base not in used:
         used.add(base)
         return base
-    stem, dot, ext = base.rpartition(".")
+    stem, _, ext = base.rpartition(".")  # _sanitize_name always gives an extension
     n = 1
     while True:
-        candidate = f"{stem}_{n}{dot}{ext}" if dot else f"{base}_{n}"
+        candidate = f"{stem}_{n}.{ext}"
         if candidate not in used:
             used.add(candidate)
             return candidate

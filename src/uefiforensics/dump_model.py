@@ -1,9 +1,10 @@
 """Raw memory dump model.
 
-A dump is an immutable, randomly addressable physical address space backed
-by one or more file regions. Regions may be sparse: bytes between regions
-read as zero (acquisition tools commonly skip reserved ranges and either
-zero-fill them or describe the holes in a sidecar map).
+A dump is an immutable, randomly addressable physical address space: one
+file buffer, kept as given, and the ``Region``s that map it. Regions may
+be sparse: bytes between regions read as zero (acquisition tools commonly
+skip reserved ranges and either zero-fill them or describe the holes in a
+sidecar map).
 """
 
 from __future__ import annotations
@@ -62,18 +63,19 @@ class Anomaly:
 class MemoryDump:
     """Immutable view of a raw physical memory dump.
 
-    The dump holds its file bytes once; each region maps a run of them to
-    physical addresses. Regions are sorted and non-overlapping.
+    The dump keeps the file buffer it is given; each region maps a run of
+    its bytes to physical addresses. Regions are sorted and non-overlapping.
     ``read_bytes`` assembles across regions, filling gaps with zeros, and
-    ``iter_range`` yields the same bytes as file-buffer views and zero runs,
-    without copying; any read past ``total_span`` raises
+    ``iter_range`` yields the same bytes as read-only file-buffer views and
+    zero runs, without copying; any read past ``total_span`` raises
     :class:`OutOfBoundsRead`. Instances are safe to share across threads.
     """
 
     def __init__(self, data, regions, source_path: str = "<memory>"):
-        """``data``: the file bytes; ``regions``: Regions whose file ranges lie in it."""
-        self._data = bytes(data)
-        self._view = memoryview(self._data)
+        """``data``: the file bytes, kept as given (a ``bytearray`` is handed over:
+        the caller must not write to it afterwards); ``regions``: Regions in it."""
+        self._data = data
+        self._view = memoryview(data).toreadonly()
         self._regions = tuple(sorted(regions, key=lambda r: r.phys_start))
         if not self._regions:
             raise DumpLoadError("dump has no regions")
@@ -130,7 +132,7 @@ class MemoryDump:
             # Fast path: read served entirely by one region.
             if end <= region.phys_end:
                 off = region.file_offset + addr - region.phys_start
-                return self._data[off:off + length]
+                return self._view[off:off + length].tobytes()
         return b"".join(self._walk(addr, end))
 
     def iter_range(self, addr: PhysAddr, length: int):

@@ -29,7 +29,7 @@ from pathlib import Path
 from random import Random
 from typing import NamedTuple
 
-from .dump_model import MemoryDump
+from .dump_model import MemoryDump, Region
 from .image_registry import LDRI_RECORD, LDRI_RECORD_LEN, LDRI_SIGNATURE
 from .inline_hooks import DEFAULT_MAX_DEPTH, TransferKind
 from .service_tables import (
@@ -439,21 +439,21 @@ def _rel32(at: int, length: int, target: int) -> bytes:
 
 
 class _Layout:
-    """The physical placement of one scenario, then its bytes.
+    """The physical placement of one scenario, then its file.
 
     ``place`` records each allocation and rejects collisions. ``build``
     groups the allocations into regions (see ``MAX_REGION_GAP``) after the
-    low region ``[0, low_region_len)`` and gives every region one zeroed
-    buffer.
+    low region ``[0, low_region_len)`` and lays the regions end to end over
+    one zeroed file buffer ``buf``, as the ``Region``s the sidecar records.
     From then on every pass writes by physical address, inside what it
-    placed, and ``regions`` feeds :meth:`MemoryDump.from_regions`.
+    placed, and ``buf`` with ``regions`` becomes the :class:`MemoryDump`.
     """
 
     def __init__(self, geom: Geometry):
         self.geom = geom
         self.extents: list[tuple[int, int, str]] = []
-        self.regions: list[tuple[int, bytearray]] = []
-        self._starts: list[int] = []
+        self.regions: list[Region] = []
+        self.buf = bytearray()
 
     def place(self, start: int, size: int, what: str) -> None:
         end = start + size
@@ -476,15 +476,18 @@ class _Layout:
                 spans.append([start, end])
         if spans[0][0] < self.geom.low_region_len:
             raise ForgeError("allocations collide with the low memory region")
-        low = bytearray(self.geom.low_region_len)
-        low[0x10:0x18] = b"LOWMEM\x00\x00"
-        self.regions = [(0, low)] + [(s, bytearray(e - s)) for s, e in spans]
-        self._starts = [s for s, _ in self.regions]
+        offset = 0
+        for start, end in [[0, self.geom.low_region_len]] + spans:
+            self.regions.append(Region(phys_start=start, file_offset=offset, length=end - start))
+            offset += end - start
+        self.buf = bytearray(offset)
+        self.write(0x10, b"LOWMEM\x00\x00")
 
     def view(self, addr: int, size: int) -> memoryview:
         """Writable view of ``[addr, addr + size)``, which must lie in one region."""
-        start, buf = self.regions[bisect_right(self._starts, addr) - 1]
-        return memoryview(buf)[addr - start:addr - start + size]
+        r = self.regions[bisect_right(self.regions, addr, key=lambda g: g.phys_start) - 1]
+        run = memoryview(self.buf)[r.file_offset:r.file_offset + r.length]
+        return run[addr - r.phys_start:addr - r.phys_start + size]
 
     def write(self, addr: int, data: bytes) -> None:
         self.view(addr, len(data))[:] = data
@@ -644,7 +647,7 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
         )
         for key, p in placed.items()
     )
-    dump = MemoryDump.from_regions(layout.regions, source_path=f"<forged:{spec.name}>")
+    dump = MemoryDump(layout.buf, layout.regions, source_path=f"<forged:{spec.name}>")
     truth = GroundTruth(
         scenario=spec.name,
         seed=seed,

@@ -21,6 +21,8 @@ from .image_registry import ImageMap, LoadedImageRecord, scan_loaded_images
 from .inline_hooks import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_PROLOGUE_WINDOW,
+    MAX_DEPTH_LIMIT,
+    PROLOGUE_WINDOW_LIMIT,
     InlineHookFinding,
     detect_inline_hooks,
 )
@@ -49,6 +51,15 @@ class AnalysisOptions:
     prologue_window: int = DEFAULT_PROLOGUE_WINDOW
     max_depth: int = DEFAULT_MAX_DEPTH
     carve_dir: str | None = None
+
+    def __post_init__(self):
+        # The CLI's limits, so that a library caller fails before any scan or carve.
+        for name, value, limit in (
+            ("prologue_window", self.prologue_window, PROLOGUE_WINDOW_LIMIT),
+            ("max_depth", self.max_depth, MAX_DEPTH_LIMIT),
+        ):
+            if not 1 <= value <= limit:
+                raise ValueError(f"{name} must be from 1 to {limit}, got {value}")
 
 
 @dataclass

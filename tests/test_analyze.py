@@ -19,6 +19,7 @@ from uefiforensics.carver import carve_images
 from uefiforensics.dump_model import load_dump
 from uefiforensics.forge import COMPACT_GEOMETRY, build_scenario, builtin_scenarios, scenario_by_name
 from uefiforensics.image_registry import scan_loaded_images
+from uefiforensics.inline_hooks import MAX_DEPTH_LIMIT, PROLOGUE_WINDOW_LIMIT
 from uefiforensics.pointer_hooks import BaselineError
 from uefiforensics.report import AnalysisOptions, analyze_dump, render_text, to_json_dict
 
@@ -65,6 +66,24 @@ def test_unknown_baseline_guid_carves_nothing_and_joins_workers(tmp_path, compac
         )
     assert threading.active_count() == before
     assert not carve_dir.exists()
+
+
+@pytest.mark.parametrize("bad", [
+    {"max_depth": 0}, {"max_depth": MAX_DEPTH_LIMIT + 1},
+    {"prologue_window": 0}, {"prologue_window": 1 << 20},
+])
+def test_out_of_range_options_raise_before_any_carve(tmp_path, compact_efiguard, bad):
+    carve_dir = tmp_path / "carved"
+    with pytest.raises(ValueError):
+        analyze_dump(compact_efiguard.dump, AnalysisOptions(carve_dir=str(carve_dir), **bad))
+    assert not carve_dir.exists()
+    with pytest.raises(ValueError):
+        AnalysisOptions(**bad)
+
+
+def test_option_limits_are_inclusive():
+    AnalysisOptions(max_depth=1, prologue_window=1)
+    AnalysisOptions(max_depth=MAX_DEPTH_LIMIT, prologue_window=PROLOGUE_WINDOW_LIMIT)
 
 
 @pytest.mark.parametrize("name", sorted(spec.name for spec in builtin_scenarios()))

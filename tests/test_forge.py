@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -249,6 +250,28 @@ def test_pinned_base_gets_its_own_region(tmp_path):
     want = {(h.table, h.service, h.hook_addr, h.payload_addr)
             for h in scenario.truth.inline_hooks}
     assert len(want) == 1 and got == want
+
+
+def test_forge_holds_each_byte_once():
+    # The layout writes into one file-sized buffer and the dump keeps it,
+    # so building costs the file once, not once per region copy as well.
+    spec = compact_spec(images=(ImageSpec(guid=CORE_GUID, size=0x8000, role="core"),
+                                ImageSpec(path="\\EFI\\big.efi", size=32 << 20)))
+    tracemalloc.start()
+    try:
+        dump = build_scenario(spec).dump
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    file_size = sum(r.length for r in dump.regions)
+    assert file_size > 32 << 20
+    assert peak < 1.5 * file_size
+
+    low, cluster = dump.regions[:2]
+    assert low.phys_end < cluster.phys_start  # a gap follows the low region
+    assert dump.read_bytes(0x10, 8) == b"LOWMEM\x00\x00"
+    assert type(dump.read_bytes(cluster.phys_start, 0x100)) is bytes
+    assert type(dump.read_bytes(low.phys_end - 8, 16)) is bytes
 
 
 @pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY, COMPACT_GEOMETRY],
