@@ -4,10 +4,12 @@ Carving is driven exclusively by the validated loaded-image records: an
 orphan MZ blob with no record is never carved. Each image is written
 exactly as it lies in memory (image_size bytes from image_base); no
 attempt is made to reconstruct the on-disk file layout. Images stream from
-the dump in region slices and bounded zero runs, hashed as they are
-written, so memory stays bounded whatever size a record claims. Gap bytes
-are seeked over, not written, so the file is sparse and disk use is bounded
-by the mapped bytes the record covers.
+the dump in windows of file bytes and bounded zero runs (``iter_range``),
+hashed as they are written, so memory stays bounded whatever size a record
+claims. Gap bytes are seeked over, not written, so the file is sparse and
+disk use is bounded by the mapped bytes the record covers. PE validity and
+``SizeOfImage`` come from the record (the registry reads each header once),
+so the carve reads the dump only through ``iter_range``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from .image_registry import ImageIdentity, ImageMap
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "carve_manifest.json"
-PE_SIGNATURE = b"PE\x00\x00"
-# SizeOfImage: offset 56 of the optional header, which follows the 4-byte PE
-# signature and the 20-byte COFF header (same place in PE32 and PE32+).
-SIZE_OF_IMAGE_OFFSET = 4 + 20 + 56
 _UNSAFE_CHARS = re.compile(r"[^A-Za-z0-9._-]")
 # Sanitized names are ASCII, so stem + "_<n>" + ".efi" stays under the
 # 255-byte file-name limit.
@@ -46,26 +44,6 @@ class CarvedImage:
     pe_valid: bool
     machine: int
     sha256: str
-
-
-def read_pe_header(dump: MemoryDump, base: PhysAddr, size: int) -> tuple[bool, int, int | None]:
-    """An image's (valid, machine, SizeOfImage): its DOS and PE headers, read up to ``size``.
-
-    Invalid: under 0x40 bytes, no ``MZ``, or ``e_lfanew + 6`` past the image
-    or no ``PE\\0\\0`` there. ``SizeOfImage`` is None when it lies past the image.
-    """
-    if size < 0x40:
-        return False, 0, None
-    dos = dump.read_bytes(base, 0x40)
-    e_lfanew = int.from_bytes(dos[0x3C:0x40], "little")
-    if dos[:2] != b"MZ" or e_lfanew + 6 > size:
-        return False, 0, None
-    pe = dump.read_bytes(base + e_lfanew, min(SIZE_OF_IMAGE_OFFSET + 4, size - e_lfanew))
-    if pe[:4] != PE_SIGNATURE:
-        return False, 0, None
-    field = pe[SIZE_OF_IMAGE_OFFSET:]
-    size_of_image = int.from_bytes(field, "little") if len(field) == 4 else None
-    return True, int.from_bytes(pe[4:6], "little"), size_of_image
 
 
 def _sanitize_name(identity: ImageIdentity) -> str:
@@ -115,7 +93,7 @@ def carve_images(
             except OutOfBoundsRead as exc:
                 anomalies.append(Anomaly("carve_skipped", record.image_base, str(exc)))
                 continue
-            pe_valid, machine, pe_size = read_pe_header(dump, record.image_base, record.image_size)
+            pe_valid, machine, pe_size = record.pe_header
             if not pe_valid:
                 anomalies.append(
                     Anomaly(

@@ -5,12 +5,21 @@ file buffer, kept as given, and the ``Region``s that map it. Regions may
 be sparse: bytes between regions read as zero (acquisition tools commonly
 skip reserved ranges and either zero-fill them or describe the holes in a
 sidecar map).
+
+``load_dump`` maps the file read-only rather than reading it. The bulk
+passes (signature scan, content hash, carve) walk file bytes one
+``WINDOW`` at a time and, on a mapping, drop each window's pages once they
+leave it, so resident memory is bounded by the windows in flight, not by
+the file. The file must not shrink while a dump maps it: touching a page
+past its new end raises ``SIGBUS``, which kills the process.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import mmap
+import os
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -23,6 +32,9 @@ PhysAddr = int
 
 # Longest zero run ``MemoryDump.iter_range`` yields for a gap.
 ZERO_RUN = 1 << 20
+# File bytes a bulk pass handles at a time: the longest view ``iter_range``
+# yields and the stride of ``find_signature``. A multiple of any page size.
+WINDOW = 4 << 20
 _ZEROS = bytes(ZERO_RUN)
 
 
@@ -66,16 +78,20 @@ class MemoryDump:
     The dump keeps the file buffer it is given; each region maps a run of
     its bytes to physical addresses. Regions are sorted and non-overlapping.
     ``read_bytes`` assembles across regions, filling gaps with zeros, and
-    ``iter_range`` yields the same bytes as read-only file-buffer views and
-    zero runs, without copying; any read past ``total_span`` raises
-    :class:`OutOfBoundsRead`. Instances are safe to share across threads.
+    ``iter_range`` yields the same bytes as read-only file-buffer views of
+    at most ``WINDOW`` bytes and zero runs, without copying; any read past
+    ``total_span`` raises :class:`OutOfBoundsRead`. Instances are safe to
+    share across threads: a page one thread drops while another reads it
+    faults back in from the page cache with the same bytes.
     """
 
     def __init__(self, data, regions, source_path: str = "<memory>"):
-        """``data``: the file bytes, kept as given (a ``bytearray`` is handed over:
-        the caller must not write to it afterwards); ``regions``: Regions in it."""
+        """``data``: the file bytes, kept as given: ``bytes``, a ``bytearray`` (handed
+        over: the caller must not write to it afterwards) or a read-only ``mmap``;
+        ``regions``: Regions in it."""
         self._data = data
         self._view = memoryview(data).toreadonly()
+        self._droppable = isinstance(data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")
         self._regions = tuple(sorted(regions, key=lambda r: r.phys_start))
         if not self._regions:
             raise DumpLoadError("dump has no regions")
@@ -110,7 +126,19 @@ class MemoryDump:
         return cls(b"".join(buf for _, buf in pieces), regions, source_path=source_path)
 
     def save(self, dump_path, map_path) -> None:
-        """Write the file bytes and the region-map sidecar that ``load_dump`` reads."""
+        """Write the file bytes and the region-map sidecar that ``load_dump`` reads.
+
+        A mapped dump refuses, with ``ValueError``, to write over the file it
+        maps: truncating that file would destroy the bytes being written.
+        """
+        if isinstance(self._data, mmap.mmap):
+            for target in (dump_path, map_path):
+                try:
+                    same = os.path.samefile(target, self.source_path)
+                except OSError:  # either file is missing: not the same file
+                    same = False
+                if same:
+                    raise ValueError(f"{target} is the file this dump maps")
         Path(dump_path).write_bytes(self._data)
         records = [
             {
@@ -138,13 +166,15 @@ class MemoryDump:
     def iter_range(self, addr: PhysAddr, length: int):
         """Yield ``[addr, addr + length)`` in physical order, without copying.
 
-        Region bytes come as ``memoryview`` slices of the file buffer, gap
-        bytes as zero ``bytes`` runs of at most ``ZERO_RUN`` bytes; joined,
-        the chunks equal ``read_bytes(addr, length)``. The range is checked
-        before this returns, with the errors ``read_bytes`` raises.
+        Region bytes come as ``memoryview`` slices of the file buffer of at
+        most ``WINDOW`` bytes, gap bytes as zero ``bytes`` runs of at most
+        ``ZERO_RUN`` bytes; joined, the chunks equal ``read_bytes(addr,
+        length)``. Each view's pages are dropped when the next chunk is asked
+        for. The range is checked before this returns, with the errors
+        ``read_bytes`` raises.
         """
         self._check_read(addr, length)
-        return self._walk(addr, addr + length)
+        return self._walk(addr, addr + length, drop=True)
 
     def _check_read(self, addr: PhysAddr, length: int) -> None:
         if length <= 0:
@@ -154,7 +184,7 @@ class MemoryDump:
                 f"read [{addr:#x}, {addr + length:#x}) outside span {self.total_span:#x}"
             )
 
-    def _walk(self, pos: PhysAddr, end: PhysAddr):
+    def _walk(self, pos: PhysAddr, end: PhysAddr, drop: bool = False):
         for region in self._regions[max(bisect_right(self._starts, pos) - 1, 0):]:
             if pos >= end:
                 break
@@ -164,10 +194,23 @@ class MemoryDump:
                 yield run
                 pos += len(run)
             hi = min(end, region.phys_end)
-            if pos < hi:
+            while pos < hi:
                 off = region.file_offset + pos - region.phys_start
-                yield self._view[off:off + hi - pos]
-                pos = hi
+                n = min(hi - pos, WINDOW)
+                yield self._view[off:off + n]
+                if drop:
+                    self._drop(off, n)
+                pos += n
+
+    def _drop(self, off: int, length: int) -> None:
+        """Release the pages of file bytes ``[off, off + length)`` of a mapping.
+
+        Advisory: a dropped page faults back in from the page cache when next
+        read. On a ``bytes`` or ``bytearray`` buffer this does nothing.
+        """
+        if self._droppable:
+            start = off - off % mmap.PAGESIZE
+            self._data.madvise(mmap.MADV_DONTNEED, start, off + length - start)
 
     def read_u64(self, addr: PhysAddr) -> int:
         return struct.unpack("<Q", self.read_bytes(addr, 8))[0]
@@ -189,10 +232,15 @@ class MemoryDump:
         pad = len(sig) - 1
         found: set[int] = set()
         for region in self._regions:
-            # Matches inside the region, found where its bytes lie in the file.
+            # Matches inside the region, found where its bytes lie in the file,
+            # one window at a time; windows overlap by ``pad`` bytes, so a match
+            # across a window edge is found whole.
             shift = region.phys_start - region.file_offset
-            found.update(pos + shift for pos in _find_all(
-                self._data, sig, region.file_offset, region.file_offset + region.length))
+            end = region.file_offset + region.length
+            for lo in range(region.file_offset, end, WINDOW):
+                found.update(pos + shift for pos in _find_all(
+                    self._data, sig, lo, min(lo + WINDOW + pad, end)))
+                self._drop(lo, min(WINDOW, end - lo))
             # Matches crossing an edge of the region lie in the pad bytes
             # either side of it, reassembled with whatever borders it.
             for edge in (region.phys_start, region.phys_end):
@@ -258,17 +306,19 @@ def _load_sidecar(map_path: Path) -> list[Region]:
 def load_dump(path, map_path=None) -> MemoryDump:
     """Load a raw dump file, applying a region-map sidecar when present.
 
-    Without a sidecar the file is one region at physical address 0. When
-    ``map_path`` is not given, ``<stem>.map.json`` next to the dump (and
-    ``<path>.map.json``) are probed automatically.
+    The file is mapped read-only, not read. Without a sidecar it is one
+    region at physical address 0. When ``map_path`` is not given,
+    ``<stem>.map.json`` next to the dump (and ``<path>.map.json``) are
+    probed automatically.
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size == 0:
+                raise DumpLoadError(f"dump {path} is empty")
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as exc:
         raise DumpLoadError(f"cannot read dump {path}: {exc}") from exc
-    if not data:
-        raise DumpLoadError(f"dump {path} is empty")
 
     if map_path is not None:
         map_path = Path(map_path)

@@ -3,8 +3,8 @@
 Every image the firmware loader places in memory leaves a record marked by
 the 4-byte `ldri` signature carrying the image base, size, and identity
 (GUID and/or source file path). The registry validates candidates, rejects
-decoys, and answers "which image owns this address" for the detectors and
-the carver.
+decoys, reads each accepted image's PE header, and answers "which image
+owns this address" for the detectors and the carver.
 
 Record layout (40 bytes, little-endian), shared with the fixture forge and
 isolated here so an alternative firmware profile can be swapped in:
@@ -36,6 +36,10 @@ LDRI_RECORD_LEN = LDRI_RECORD.size  # 40
 GUID_LEN = 16
 MAX_PATH_CHARS = 255
 PE_MAGIC = b"MZ"
+PE_SIGNATURE = b"PE\x00\x00"
+# SizeOfImage: offset 56 of the optional header, which follows the 4-byte PE
+# signature and the 20-byte COFF header (same place in PE32 and PE32+).
+SIZE_OF_IMAGE_OFFSET = 4 + 20 + 56
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,7 @@ class LoadedImageRecord:
     image_base: PhysAddr
     image_size: int
     identity: ImageIdentity
+    pe_header: tuple[bool, int, int | None]  # read_pe_header of the image
 
     @property
     def image_end(self) -> PhysAddr:
@@ -114,6 +119,26 @@ class ImageMap:
         return None
 
 
+def read_pe_header(dump: MemoryDump, base: PhysAddr, size: int) -> tuple[bool, int, int | None]:
+    """An image's (valid, machine, SizeOfImage): its DOS and PE headers, read up to ``size``.
+
+    Invalid: under 0x40 bytes, no ``MZ``, or ``e_lfanew + 6`` past the image
+    or no ``PE\\0\\0`` there. ``SizeOfImage`` is None when it lies past the image.
+    """
+    if size < 0x40:
+        return False, 0, None
+    dos = dump.read_bytes(base, 0x40)
+    e_lfanew = int.from_bytes(dos[0x3C:0x40], "little")
+    if dos[:2] != PE_MAGIC or e_lfanew + 6 > size:
+        return False, 0, None
+    pe = dump.read_bytes(base + e_lfanew, min(SIZE_OF_IMAGE_OFFSET + 4, size - e_lfanew))
+    if pe[:4] != PE_SIGNATURE:
+        return False, 0, None
+    field = pe[SIZE_OF_IMAGE_OFFSET:]
+    size_of_image = int.from_bytes(field, "little") if len(field) == 4 else None
+    return True, int.from_bytes(pe[4:6], "little"), size_of_image
+
+
 def _decode_path(dump: MemoryDump, ptr: PhysAddr) -> str:
     limit = min(2 * (MAX_PATH_CHARS + 1), dump.total_span - ptr)
     if limit < 2:
@@ -151,7 +176,10 @@ def _parse_record(dump: MemoryDump, addr: PhysAddr) -> LoadedImageRecord:
     if guid is None and file_path is None:
         raise ValueError("record carries neither GUID nor file path")
 
-    return LoadedImageRecord(addr, image_base, image_size, ImageIdentity(guid, file_path))
+    return LoadedImageRecord(
+        addr, image_base, image_size, ImageIdentity(guid, file_path),
+        read_pe_header(dump, image_base, image_size),
+    )
 
 
 def scan_loaded_images(dump: MemoryDump) -> ImageMap:

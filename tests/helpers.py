@@ -64,6 +64,11 @@ def reassemble_dump_file(dump_path, map_path=None) -> bytes:
     return bytes(flat)
 
 
+# The PE header ``read_pe_header`` reports for bytes that hold no PE image:
+# for hand-built loaded-image records in tests that carve nothing.
+NOT_PE = (False, 0, None)
+
+
 def brute_force_owners(records, addr):
     """Linear ownership scan over loaded-image records."""
     return [r for r in records if r.image_base <= addr < r.image_base + r.image_size]

@@ -5,13 +5,15 @@ import tracemalloc
 
 import pytest
 
-from uefiforensics.carver import MANIFEST_NAME, PE_SIGNATURE, carve_images, read_pe_header
+from uefiforensics.carver import MANIFEST_NAME, carve_images
 from uefiforensics.dump_model import MemoryDump
 from uefiforensics.forge import build_minimal_pe, build_scenario, scenario_by_name
 from uefiforensics.image_registry import (
+    PE_SIGNATURE,
     ImageIdentity,
     ImageMap,
     LoadedImageRecord,
+    read_pe_header,
     scan_loaded_images,
 )
 
@@ -19,6 +21,14 @@ from uefiforensics.image_registry import (
 def carve(scenario, out_dir):
     image_map = scan_loaded_images(scenario.dump)
     return carve_images(scenario.dump, image_map, out_dir)
+
+
+def record(dump, record_addr, base, size, file_path):
+    """A loaded-image record over ``dump``, its PE header read as the registry reads it."""
+    return LoadedImageRecord(
+        record_addr, base, size, ImageIdentity(file_path=file_path),
+        read_pe_header(dump, base, size),
+    )
 
 
 def test_round_trip_bytes_identical(tmp_path, forged):
@@ -52,14 +62,12 @@ def test_names_from_path_basename_and_guid(tmp_path, forged):
 
 def test_name_collision_gets_suffix(tmp_path):
     pe = bytes(build_minimal_pe(0x1000))
-    records = []
     buf = bytearray(0x8000)
-    for i, base in enumerate((0x1000, 0x3000)):
+    bases = (0x1000, 0x3000)
+    for base in bases:
         buf[base:base + len(pe)] = pe
-        records.append(
-            LoadedImageRecord(i, base, 0x1000, ImageIdentity(file_path="\\EFI\\same.efi"))
-        )
     dump = MemoryDump.from_regions([(0, bytes(buf))])
+    records = [record(dump, i, base, 0x1000, "\\EFI\\same.efi") for i, base in enumerate(bases)]
     carved, _ = carve_images(dump, ImageMap(records), tmp_path)
     assert [c.output_name for c in carved] == ["same.efi", "same_1.efi"]
 
@@ -68,11 +76,9 @@ def test_path_separators_sanitized(tmp_path):
     pe = bytes(build_minimal_pe(0x1000))
     buf = bytearray(0x3000)
     buf[0x1000:0x1000 + len(pe)] = pe
-    record = LoadedImageRecord(
-        0, 0x1000, 0x1000, ImageIdentity(file_path="\\EFI\\Boot\\we?ird name")
-    )
     dump = MemoryDump.from_regions([(0, bytes(buf))])
-    carved, _ = carve_images(dump, ImageMap([record]), tmp_path)
+    image = record(dump, 0, 0x1000, 0x1000, "\\EFI\\Boot\\we?ird name")
+    carved, _ = carve_images(dump, ImageMap([image]), tmp_path)
     assert carved[0].output_name == "we_ird_name.efi"
     assert (tmp_path / "we_ird_name.efi").exists()
 
@@ -80,9 +86,9 @@ def test_path_separators_sanitized(tmp_path):
 def test_record_without_mz_carved_but_flagged(tmp_path):
     buf = bytearray(0x3000)
     buf[0x1000:0x1008] = b"NOTAPE!!"
-    record = LoadedImageRecord(0, 0x1000, 0x800, ImageIdentity(file_path="\\bad.efi"))
     dump = MemoryDump.from_regions([(0, bytes(buf))])
-    carved, anomalies = carve_images(dump, ImageMap([record]), tmp_path)
+    image = record(dump, 0, 0x1000, 0x800, "\\bad.efi")
+    carved, anomalies = carve_images(dump, ImageMap([image]), tmp_path)
     assert len(carved) == 1
     assert not carved[0].pe_valid
     assert carved[0].machine == 0
@@ -94,11 +100,11 @@ def test_size_mismatch_with_pe_header_flagged(tmp_path):
     pe = bytes(build_minimal_pe(0x1000))  # SizeOfImage 0x1000
     buf = bytearray(0x4000)
     buf[0x1000:0x1000 + len(pe)] = pe
-    records = [
-        LoadedImageRecord(0, 0x1000, 0x2000, ImageIdentity(file_path="\\long.efi")),
-        LoadedImageRecord(1, 0x1000, 0x1000, ImageIdentity(file_path="\\exact.efi")),
-    ]
     dump = MemoryDump.from_regions([(0, bytes(buf))])
+    records = [
+        record(dump, 0, 0x1000, 0x2000, "\\long.efi"),
+        record(dump, 1, 0x1000, 0x1000, "\\exact.efi"),
+    ]
     carved, anomalies = carve_images(dump, ImageMap(records), tmp_path)
     assert [(a.kind, a.addr) for a in anomalies] == [("carved_image_size_mismatch", 0x1000)]
     assert "0x2000" in anomalies[0].detail and "0x1000" in anomalies[0].detail
@@ -118,10 +124,10 @@ def test_oversized_record_carved_in_bounded_memory(tmp_path, pe_header_at_end):
         struct.pack_into("<I", head, 0x3C, size - 6)
         tail[-6:] = PE_SIGNATURE + struct.pack("<H", 0x8664)
     dump = MemoryDump.from_regions([(0, bytes(head)), (size - 0x1000, bytes(tail))])
-    record = LoadedImageRecord(0, 0, size, ImageIdentity(file_path="\\big.efi"))
     tracemalloc.start()
     try:
-        carved, anomalies = carve_images(dump, ImageMap([record]), tmp_path)
+        image = record(dump, 0, 0, size, "\\big.efi")
+        carved, anomalies = carve_images(dump, ImageMap([image]), tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

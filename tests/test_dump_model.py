@@ -1,12 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import uefiforensics
 from uefiforensics.dump_model import (
+    WINDOW,
     ZERO_RUN,
     DumpLoadError,
     MemoryDump,
@@ -14,7 +20,15 @@ from uefiforensics.dump_model import (
     Region,
     load_dump,
 )
-from uefiforensics.report import content_sha256
+from uefiforensics.forge import (
+    COMPACT_GEOMETRY,
+    CORE_GUID,
+    ImageSpec,
+    ScenarioSpec,
+    build_scenario,
+    builtin_scenarios,
+)
+from uefiforensics.report import AnalysisOptions, analyze_dump, content_sha256, to_json_dict
 
 from helpers import brute_force_find, reassemble_dump_file
 
@@ -98,6 +112,29 @@ def test_empty_file_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(DumpLoadError):
         load_dump(tmp_path / "nope.dump")
+
+
+def test_directory_rejected(tmp_path):
+    with pytest.raises(DumpLoadError):
+        load_dump(tmp_path)
+
+
+def test_save_refuses_the_file_it_maps(tmp_path):
+    data = b"\xAA" * 0x1000
+    path, _ = write_dump(tmp_path, data)
+    os.link(path, tmp_path / "link.dump")
+    dump = load_dump(path)
+    for dump_path, map_path in (
+        (path, tmp_path / "test.map.json"),
+        (tmp_path / "link.dump", tmp_path / "test.map.json"),
+        (tmp_path / "copy.dump", path),
+    ):
+        with pytest.raises(ValueError):
+            dump.save(dump_path, map_path)
+    assert path.read_bytes() == data
+    assert not (tmp_path / "test.map.json").exists() and not (tmp_path / "copy.dump").exists()
+    dump.save(tmp_path / "copy.dump", tmp_path / "copy.map.json")
+    assert load_dump(tmp_path / "copy.dump").read_bytes(0, len(data)) == data
 
 
 def test_overlapping_sidecar_regions_rejected(tmp_path):
@@ -226,17 +263,22 @@ def test_content_hash_does_not_copy_regions():
 
 def test_iter_range_joins_to_read_bytes():
     half = 8 << 20
-    dump = MemoryDump.from_regions([(0x2000000, b"\xBB" * half), (0x100000, b"\xAA" * half)])
+    low, high = 0x100000, 0x2000000
+    dump = MemoryDump.from_regions([(high, b"\xBB" * half), (low, b"\xAA" * half)])
     rng = Random(7)
     for _ in range(20):
-        # Windows start in or before the low region and end in the high one,
+        # Ranges start in or before the low region and end in the high one,
         # so each crosses the 24 MiB gap between them.
-        addr = rng.randrange(0, 0x100000 + half)
-        end = rng.randrange(0x2000000, dump.total_span) + 1
+        addr = rng.randrange(0, low + half)
+        end = rng.randrange(high, dump.total_span) + 1
         chunks = list(dump.iter_range(addr, end - addr))
         assert b"".join(chunks) == dump.read_bytes(addr, end - addr)
         assert all(len(c) <= ZERO_RUN for c in chunks if isinstance(c, bytes))
-        assert sum(isinstance(c, memoryview) for c in chunks) == 2
+        # Each region's part of the range comes in views of at most one window.
+        views = [len(c) for c in chunks if isinstance(c, memoryview)]
+        assert all(n <= WINDOW for n in views)
+        parts = (low + half - max(addr, low), end - high)
+        assert len(views) == sum(-(-n // WINDOW) for n in parts)
     with pytest.raises(OutOfBoundsRead):
         dump.iter_range(dump.total_span - 1, 2)
     with pytest.raises(ValueError):
@@ -291,6 +333,103 @@ def test_find_signature_matches_into_gaps():
     assert dump.find_signature(sig) == brute_force_find(flat, sig) == [0x1D]
     with pytest.raises(ValueError):
         dump.find_signature(bytes(4))
+
+
+def test_find_signature_across_window_edge_of_loaded_dump(tmp_path):
+    # One region, off page alignment in the file, with matches straddling both
+    # of its inner window edges; each pass over the mapping drops its windows.
+    offset, length = 0x801, 3 * WINDOW
+    data = bytearray(offset + length)
+    hits = (0x10000 + WINDOW - 3, 0x10000 + 2 * WINDOW - 7)
+    for addr in hits:
+        at = offset + addr - 0x10000
+        data[at:at + 8] = b"BOOTSERV"
+    regions = [{"phys_start": 0x10000, "file_offset": offset, "length": length}]
+    path, map_path = write_dump(tmp_path, bytes(data), regions)
+    dump = load_dump(path, map_path)
+    assert dump.find_signature(b"BOOTSERV") == list(hits)
+    assert content_sha256(dump) == hashlib.sha256(data[offset:]).hexdigest()
+    assert dump.find_signature(b"BOOTSERV") == list(hits)
+
+
+def report_doc(dump, carve_dir) -> dict:
+    """The report JSON without what names files: ``meta``, the dump path, the carve dir."""
+    doc = to_json_dict(analyze_dump(dump, AnalysisOptions(carve_dir=str(carve_dir))))
+    del doc["meta"], doc["dump"]["path"], doc["carve"]["out_dir"]
+    return doc
+
+
+def pieces_of(dump) -> list[tuple[int, bytes]]:
+    return [(r.phys_start, dump.read_bytes(r.phys_start, r.length)) for r in dump.regions]
+
+
+@pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
+def test_loaded_dump_reports_as_bytes_backed_dump(tmp_path, forged, name):
+    scenario = forged(name)
+    paths = scenario.write(tmp_path)
+    in_memory = MemoryDump.from_regions(pieces_of(scenario.dump))
+    loaded = load_dump(paths["dump"], paths["map"])
+    assert report_doc(loaded, tmp_path / "a") == report_doc(in_memory, tmp_path / "b")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([s.name for s in builtin_scenarios()]), st.data())
+def test_split_and_reordered_regions_report_the_same(tmp_path_factory, forged, name, data):
+    # Split one region at any point, lay the file pieces out in any order and
+    # write the sidecar to match: only the report's region list changes.
+    dump = forged(name).dump
+    pieces = pieces_of(dump)
+    i = data.draw(st.integers(0, len(pieces) - 1))
+    start, buf = pieces[i]
+    cut = data.draw(st.integers(1, len(buf) - 1))
+    pieces[i:i + 1] = [(start, buf[:cut]), (start + cut, buf[cut:])]
+    pieces = data.draw(st.permutations(pieces))
+    tmp_path = tmp_path_factory.mktemp("split")
+    MemoryDump.from_regions(pieces).save(tmp_path / "split.dump", tmp_path / "split.map.json")
+    split = load_dump(tmp_path / "split.dump", tmp_path / "split.map.json")
+    assert len(split.regions) == len(dump.regions) + 1
+    got, want = report_doc(split, tmp_path / "a"), report_doc(dump, tmp_path / "b")
+    assert got["dump"].pop("regions") != want["dump"].pop("regions")
+    assert got == want
+
+
+# Run with the launcher below, so that the peak read is the analyzer's own:
+# Linux carries a parent's peak RSS over into its child's ru_maxrss.
+_LAUNCH = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+_ANALYZE = """
+import resource, sys
+from uefiforensics.dump_model import load_dump
+from uefiforensics.report import AnalysisOptions, analyze_dump
+dump = load_dump(sys.argv[1], sys.argv[2])
+report = analyze_dump(dump, AnalysisOptions(carve_dir=sys.argv[3]))
+print(len(report.carved), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_analysis_memory_is_bounded_by_windows_not_the_file(tmp_path):
+    spec = ScenarioSpec(
+        name="big",
+        images=(
+            ImageSpec(guid=CORE_GUID, size=0x8000, role="core"),
+            ImageSpec(path="\\EFI\\big\\blob.efi", size=0x800_0000),
+        ),
+        geometry=COMPACT_GEOMETRY,
+    )
+    paths = build_scenario(spec).write(tmp_path)
+    dump_size = paths["dump"].stat().st_size
+    assert dump_size >= 128 << 20
+    package_root = str(Path(uefiforensics.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, sys.executable, "-c", _ANALYZE,
+         str(paths["dump"]), str(paths["map"]), str(tmp_path / "carved")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=300, check=True,
+    )
+    carved, peak_kib = map(int, proc.stdout.split())
+    assert carved == 2
+    assert peak_kib * 1024 < dump_size / 2, f"peak RSS {peak_kib / 1024:.0f} MiB"
 
 
 def test_scan_soundness(forged):

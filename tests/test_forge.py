@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from uefiforensics.carver import read_pe_header
 from uefiforensics.dump_model import MemoryDump, load_dump
 from uefiforensics.forge import (
     COMPACT_GEOMETRY,
@@ -25,7 +24,7 @@ from uefiforensics.forge import (
     builtin_scenarios,
     scenario_by_name,
 )
-from uefiforensics.image_registry import scan_loaded_images
+from uefiforensics.image_registry import read_pe_header, scan_loaded_images
 from uefiforensics.report import analyze_dump
 from uefiforensics.service_tables import TableKind, locate_tables
 

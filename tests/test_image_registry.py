@@ -12,7 +12,7 @@ from uefiforensics.image_registry import (
     scan_loaded_images,
 )
 
-from helpers import brute_force_owner, brute_force_owners
+from helpers import NOT_PE, brute_force_owner, brute_force_owners
 
 
 def test_scan_finds_planted_records(forged):
@@ -122,8 +122,10 @@ def test_resolve_owner_matches_brute_force(forged):
 
 
 def test_overlapping_images_flagged_not_merged():
-    a = LoadedImageRecord(0x10, 0x1000, 0x400, ImageIdentity(guid="A" * 8 + "-0000-0000-0000-000000000000"))
-    b = LoadedImageRecord(0x40, 0x1200, 0x400, ImageIdentity(file_path="\\x.efi"))
+    a = LoadedImageRecord(
+        0x10, 0x1000, 0x400, ImageIdentity(guid="A" * 8 + "-0000-0000-0000-000000000000"), NOT_PE
+    )
+    b = LoadedImageRecord(0x40, 0x1200, 0x400, ImageIdentity(file_path="\\x.efi"), NOT_PE)
     image_map = ImageMap([a, b])
     assert len(image_map) == 2
     assert any(an.kind == "image_overlap" for an in image_map.anomalies)
@@ -143,7 +145,7 @@ overlapping_records = st.lists(
 @given(overlapping_records, st.lists(st.integers(0, 0x80), max_size=8))
 def test_resolve_owner_matches_brute_force_with_overlaps(ranges, extra_probes):
     image_map = ImageMap([
-        LoadedImageRecord(record_addr, base, size, ImageIdentity(file_path=f"\\{i}.efi"))
+        LoadedImageRecord(record_addr, base, size, ImageIdentity(file_path=f"\\{i}.efi"), NOT_PE)
         for i, (base, size, record_addr) in enumerate(ranges)
     ])
     probes = list(extra_probes)

@@ -42,7 +42,7 @@ from uefiforensics.service_tables import (
     locate_tables,
 )
 
-from helpers import sext
+from helpers import NOT_PE, sext
 
 
 def test_decode_call_rel32():
@@ -410,7 +410,7 @@ def test_in_image_transfers_alone_are_clean():
     buf[0x1100:0x1100 + 5] = code
     buf[0x1115:0x1116] = b"\xC3"                  # landing site returns
     dump = MemoryDump.from_regions([(0, bytes(buf))])
-    record = LoadedImageRecord(0, 0x1000, 0x1000, ImageIdentity(file_path="\\a.efi"))
+    record = LoadedImageRecord(0, 0x1000, 0x1000, ImageIdentity(file_path="\\a.efi"), NOT_PE)
     image_map = ImageMap([record])
     table = make_synthetic_table(0x1100)
     assert detect_inline_hooks(dump, table, image_map) == []
@@ -424,7 +424,7 @@ def test_escape_from_in_image_site_detected():
     site = 0x1115
     buf[site:site + 5] = b"\xE9" + struct.pack("<i", 0x3000 - (site + 5))
     dump = MemoryDump.from_regions([(0, bytes(buf))])
-    record = LoadedImageRecord(0, 0x1000, 0x1000, ImageIdentity(file_path="\\a.efi"))
+    record = LoadedImageRecord(0, 0x1000, 0x1000, ImageIdentity(file_path="\\a.efi"), NOT_PE)
     findings = detect_inline_hooks(dump, make_synthetic_table(0x1100), ImageMap([record]))
     assert len(findings) == 1
     assert len(findings[0].chain) == 2
@@ -574,7 +574,7 @@ def test_services_share_the_sweep_of_a_common_site(monkeypatch):
         )
     buf[helper:helper + 5] = b"\xE9" + struct.pack("<i", 0x3000 - (helper + 5))
     dump = MemoryDump.from_regions([(0, bytes(buf))])
-    record = LoadedImageRecord(0, 0x1000, 0x1000, ImageIdentity(file_path="\\a.efi"))
+    record = LoadedImageRecord(0, 0x1000, 0x1000, ImageIdentity(file_path="\\a.efi"), NOT_PE)
     table = replace(
         make_synthetic_table(0x1100),
         entries=(ServiceEntry(0, "RaiseTPL", 0x1100), ServiceEntry(1, "RestoreTPL", 0x1200)),

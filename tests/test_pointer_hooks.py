@@ -20,7 +20,7 @@ from uefiforensics.pointer_hooks import (
 from uefiforensics.report import AnalysisOptions, analyze_dump
 from uefiforensics.service_tables import TableKind, locate_tables
 
-from helpers import random_guid
+from helpers import NOT_PE, random_guid
 from random import Random
 
 
@@ -91,8 +91,8 @@ def test_plurality_without_majority_is_low_confidence():
     dump = MemoryDump.from_regions([(0, bytes(buf))])
     table = st.parse_table(dump, TableKind.RUNTIME, 0x100)
     image_map = ImageMap([
-        LoadedImageRecord(0, 0x10_0000, 0x1000, ImageIdentity(file_path="\\a.efi")),
-        LoadedImageRecord(1, 0x20_0000, 0x1000, ImageIdentity(file_path="\\b.efi")),
+        LoadedImageRecord(0, 0x10_0000, 0x1000, ImageIdentity(file_path="\\a.efi"), NOT_PE),
+        LoadedImageRecord(1, 0x20_0000, 0x1000, ImageIdentity(file_path="\\b.efi"), NOT_PE),
     ])
     baseline = infer_baseline(table, image_map)
     assert baseline.confidence == "low"
