@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-import uuid
 from pathlib import Path
 
 from . import __version__
@@ -21,7 +20,6 @@ from .carver import carve_images
 from .dump_model import DumpLoadError, load_dump
 from .forge import ForgeError, build_scenario, builtin_scenarios, scenario_by_name
 from .image_registry import scan_loaded_images
-from .inline_hooks import DEFAULT_MAX_DEPTH, DEFAULT_PROLOGUE_WINDOW
 from .inline_hooks import MAX_DEPTH_LIMIT, PROLOGUE_WINDOW_LIMIT
 from .pointer_hooks import BaselineError
 from .report import (
@@ -53,21 +51,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def int_range(limit: int):
-    """An argparse type taking integers from 1 to ``limit``."""
-    def integer(text: str) -> int:  # argparse's error names the type by __name__
-        value = int(text)
-        if not 1 <= value <= limit:
-            raise argparse.ArgumentTypeError(f"must be from 1 to {limit}, got {value}")
-        return value
-    return integer
-
-
-def guid(text: str) -> str:
-    """An argparse type: any GUID form ``uuid.UUID`` reads, as uppercase 8-4-4-4-12 text."""
-    return str(uuid.UUID(text)).upper()
-
-
 def _add_dump_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("dump", help="raw memory dump file")
     parser.add_argument("--map", dest="map_path", metavar="MAP",
@@ -85,12 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run the full detection pipeline on a dump")
     _add_dump_args(p)
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
-    p.add_argument("--baseline-guid", type=guid,
+    p.add_argument("--baseline-guid",
                    help="override baseline inference with this loaded image's GUID")
-    p.add_argument("--prologue-window", type=int_range(PROLOGUE_WINDOW_LIMIT),
-                   default=DEFAULT_PROLOGUE_WINDOW,
+    p.add_argument("--prologue-window", type=int, default=AnalysisOptions.prologue_window,
                    help=f"prologue sweep bytes, 1-{PROLOGUE_WINDOW_LIMIT} (default %(default)s)")
-    p.add_argument("--max-depth", type=int_range(MAX_DEPTH_LIMIT), default=DEFAULT_MAX_DEPTH,
+    p.add_argument("--max-depth", type=int, default=AnalysisOptions.max_depth,
                    help=f"nested transfer levels, 1-{MAX_DEPTH_LIMIT} (default %(default)s)")
     p.add_argument("--carve-out", dest="carve_dir", metavar="DIR",
                    help="also carve images into DIR")
@@ -115,10 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args) -> int:
+    try:  # before the dump is opened, so a bad flag is named even for a missing dump
+        options = AnalysisOptions(baseline_guid=args.baseline_guid,
+                                  prologue_window=args.prologue_window,
+                                  max_depth=args.max_depth, carve_dir=args.carve_dir)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_ERROR) from None
     dump = load_dump(args.dump, args.map_path)
-    options = AnalysisOptions(baseline_guid=args.baseline_guid,
-                              prologue_window=args.prologue_window,
-                              max_depth=args.max_depth, carve_dir=args.carve_dir)
     report = analyze_dump(dump, options)
     sys.stdout.write(render_text(report))
     if args.json:

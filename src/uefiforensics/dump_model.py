@@ -139,7 +139,10 @@ class MemoryDump:
                     same = False
                 if same:
                     raise ValueError(f"{target} is the file this dump maps")
-        Path(dump_path).write_bytes(self._data)
+        with open(dump_path, "wb") as fh:  # one window at a time, like the bulk passes
+            for off in range(0, len(self._data), WINDOW):
+                fh.write(self._view[off:off + WINDOW])
+                self._drop(off, WINDOW)  # madvise stops at the end of the mapping
         records = [
             {
                 "phys_start": f"0x{r.phys_start:x}",

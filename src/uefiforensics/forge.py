@@ -30,7 +30,7 @@ from random import Random
 from typing import NamedTuple
 
 from .dump_model import MemoryDump, Region
-from .image_registry import LDRI_RECORD, LDRI_RECORD_LEN, LDRI_SIGNATURE
+from .image_registry import LDRI_RECORD, LDRI_RECORD_LEN, LDRI_SIGNATURE, normalize_guid
 from .inline_hooks import DEFAULT_MAX_DEPTH, TransferKind
 from .service_tables import (
     ENTRY_LEN,
@@ -495,7 +495,7 @@ class _Layout:
 
 def _normalize_guid(guid: str) -> str:
     try:
-        return str(uuid.UUID(guid)).upper()
+        return normalize_guid(guid)
     except ValueError as exc:
         raise ForgeError(f"invalid GUID {guid!r}: {exc}") from exc
 

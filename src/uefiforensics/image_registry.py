@@ -77,6 +77,11 @@ def format_guid(raw: bytes) -> str:
     return str(uuid.UUID(bytes_le=raw)).upper()
 
 
+def normalize_guid(text: str) -> str:
+    """Any GUID text ``uuid.UUID`` reads as uppercase 8-4-4-4-12 text, else ``ValueError``."""
+    return str(uuid.UUID(text)).upper()
+
+
 class ImageMap:
     """Loaded images indexed by address range; immutable after build.
 
@@ -112,7 +117,8 @@ class ImageMap:
         return self.records[j] if j < bisect_right(self._bases, addr) else None
 
     def by_guid(self, guid: str) -> LoadedImageRecord | None:
-        wanted = guid.upper()
+        """The record with GUID ``guid``, in any form ``normalize_guid`` reads, or None."""
+        wanted = normalize_guid(guid)
         for rec in self.records:
             if rec.identity.guid == wanted:
                 return rec

@@ -10,6 +10,7 @@ human-readable text block per table. Wall-clock time lives only in
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -17,7 +18,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .carver import CarvedImage, carve_images, manifest_entry
 from .dump_model import Anomaly, MemoryDump
-from .image_registry import ImageMap, LoadedImageRecord, scan_loaded_images
+from .image_registry import ImageMap, LoadedImageRecord, normalize_guid, scan_loaded_images
 from .inline_hooks import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_PROLOGUE_WINDOW,
@@ -47,19 +48,29 @@ EXIT_FINDINGS = 2
 
 @dataclass(frozen=True)
 class AnalysisOptions:
+    """What an analysis accepts, all checked here: ``prologue_window`` and ``max_depth`` an
+    ``int`` (not a ``bool``) from 1 to its ``*_LIMIT``; ``baseline_guid`` None or any form
+    ``normalize_guid`` reads, kept canonical; ``carve_dir`` None or a non-empty path.
+    Anything else is a ``ValueError`` naming the field, raised before any scan or carve."""
+
     baseline_guid: str | None = None
     prologue_window: int = DEFAULT_PROLOGUE_WINDOW
     max_depth: int = DEFAULT_MAX_DEPTH
     carve_dir: str | None = None
 
     def __post_init__(self):
-        # The CLI's limits, so that a library caller fails before any scan or carve.
-        for name, value, limit in (
-            ("prologue_window", self.prologue_window, PROLOGUE_WINDOW_LIMIT),
-            ("max_depth", self.max_depth, MAX_DEPTH_LIMIT),
-        ):
-            if not 1 <= value <= limit:
-                raise ValueError(f"{name} must be from 1 to {limit}, got {value}")
+        for name, limit in (("prologue_window", PROLOGUE_WINDOW_LIMIT),
+                            ("max_depth", MAX_DEPTH_LIMIT)):
+            value = getattr(self, name)
+            if type(value) is not int or not 1 <= value <= limit:  # a bool is not an int here
+                raise ValueError(f"{name} must be an integer from 1 to {limit}, got {value!r}")
+        if self.baseline_guid is not None:
+            try:
+                object.__setattr__(self, "baseline_guid", normalize_guid(self.baseline_guid))
+            except (AttributeError, TypeError, ValueError):  # uuid.UUID's refusals
+                raise ValueError(f"baseline_guid is not a GUID: {self.baseline_guid!r}") from None
+        if self.carve_dir == "" or not isinstance(self.carve_dir, (str, os.PathLike, type(None))):
+            raise ValueError(f"carve_dir must be None or a non-empty path, got {self.carve_dir!r}")
 
 
 @dataclass

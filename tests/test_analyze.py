@@ -17,7 +17,13 @@ import pytest
 from uefiforensics import report
 from uefiforensics.carver import carve_images
 from uefiforensics.dump_model import load_dump
-from uefiforensics.forge import COMPACT_GEOMETRY, build_scenario, builtin_scenarios, scenario_by_name
+from uefiforensics.forge import (
+    COMPACT_GEOMETRY,
+    CORE_GUID,
+    build_scenario,
+    builtin_scenarios,
+    scenario_by_name,
+)
 from uefiforensics.image_registry import scan_loaded_images
 from uefiforensics.inline_hooks import MAX_DEPTH_LIMIT, PROLOGUE_WINDOW_LIMIT
 from uefiforensics.pointer_hooks import BaselineError
@@ -79,6 +85,48 @@ def test_out_of_range_options_raise_before_any_carve(tmp_path, compact_efiguard,
     assert not carve_dir.exists()
     with pytest.raises(ValueError):
         AnalysisOptions(**bad)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("baseline_guid", "not-a-guid"),
+    ("baseline_guid", 0x1234),
+    ("prologue_window", 32.0),
+    ("prologue_window", True),
+    ("prologue_window", "32"),
+    ("max_depth", 2.5),
+    ("max_depth", False),
+    ("carve_dir", ""),
+    ("carve_dir", 5),
+])
+def test_malformed_options_raise_naming_the_field_before_any_carve(
+    tmp_path, compact_efiguard, field, value
+):
+    carve_dir = tmp_path / "carved"
+    options = {"carve_dir": str(carve_dir), field: value}
+    with pytest.raises(ValueError, match=field):
+        analyze_dump(compact_efiguard.dump, AnalysisOptions(**options))
+    assert not carve_dir.exists()
+    with pytest.raises(ValueError, match=field):
+        AnalysisOptions(**{field: value})
+
+
+@pytest.mark.parametrize("form", [
+    "{" + CORE_GUID + "}",
+    "urn:uuid:" + CORE_GUID,
+    CORE_GUID.lower(),
+    CORE_GUID.replace("-", ""),
+])
+def test_baseline_guid_any_form_picks_the_same_override(compact_efiguard, form):
+    def report_doc(guid):
+        doc = to_json_dict(analyze_dump(compact_efiguard.dump, AnalysisOptions(baseline_guid=guid)))
+        doc.pop("meta")
+        return doc
+
+    assert AnalysisOptions(baseline_guid=form).baseline_guid == CORE_GUID
+    doc = report_doc(form)
+    assert {t["baseline"]["source"] for t in doc["tables"]} == {"override"}
+    assert {t["baseline"]["image"]["guid"] for t in doc["tables"]} == {CORE_GUID}
+    assert doc == report_doc(CORE_GUID)
 
 
 def test_option_limits_are_inclusive():

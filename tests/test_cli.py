@@ -268,6 +268,21 @@ def test_flag_limits_accepted_and_shown(fixture_dir, capsys):
     assert f"1-{PROLOGUE_WINDOW_LIMIT} (default 32)" in help_text
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--max-depth", "0"], "max_depth"),
+    (["--prologue-window", str(PROLOGUE_WINDOW_LIMIT + 1)], "prologue_window"),
+    (["--baseline-guid", "not-a-guid"], "baseline_guid"),
+    (["--carve-out", ""], "carve_dir"),
+])
+def test_bad_option_named_before_the_dump_is_opened(tmp_path, capsys, flags, field):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(tmp_path / "missing.dump"), *flags])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ")
+    assert "missing.dump" not in err
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["--version"]])
 def test_help_and_version_exit_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:

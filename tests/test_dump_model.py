@@ -1,3 +1,4 @@
+import filecmp
 import hashlib
 import json
 import os
@@ -402,6 +403,7 @@ from uefiforensics.dump_model import load_dump
 from uefiforensics.report import AnalysisOptions, analyze_dump
 dump = load_dump(sys.argv[1], sys.argv[2])
 report = analyze_dump(dump, AnalysisOptions(carve_dir=sys.argv[3]))
+dump.save(sys.argv[4], sys.argv[5])
 print(len(report.carved), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
@@ -423,13 +425,17 @@ def test_analysis_memory_is_bounded_by_windows_not_the_file(tmp_path):
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _LAUNCH, sys.executable, "-c", _ANALYZE,
-         str(paths["dump"]), str(paths["map"]), str(tmp_path / "carved")],
+         str(paths["dump"]), str(paths["map"]), str(tmp_path / "carved"),
+         str(tmp_path / "copy.dump"), str(tmp_path / "copy.map.json")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
         timeout=300, check=True,
     )
     carved, peak_kib = map(int, proc.stdout.split())
     assert carved == 2
     assert peak_kib * 1024 < dump_size / 2, f"peak RSS {peak_kib / 1024:.0f} MiB"
+    # ``save`` streams the file bytes a window at a time, like the bulk passes.
+    assert filecmp.cmp(paths["dump"], tmp_path / "copy.dump", shallow=False)
+    assert filecmp.cmp(paths["map"], tmp_path / "copy.map.json", shallow=False)
 
 
 def test_scan_soundness(forged):

@@ -199,6 +199,12 @@ def test_validation_rejects_mov_jmp_chain():
         build_scenario(spec)
 
 
+def test_validation_rejects_malformed_guid():
+    spec = compact_spec(images=(ImageSpec(guid="not-a-guid", size=0x8000, role="core"),))
+    with pytest.raises(ForgeError, match="invalid GUID 'not-a-guid'"):
+        build_scenario(spec)
+
+
 def test_validation_rejects_bad_decoy():
     with pytest.raises(ForgeError):
         build_scenario(compact_spec(decoys=(DecoySpec("bogus"),)))

@@ -1,5 +1,6 @@
 import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from uefiforensics.dump_model import MemoryDump
@@ -9,6 +10,7 @@ from uefiforensics.image_registry import (
     ImageMap,
     LoadedImageRecord,
     format_guid,
+    normalize_guid,
     scan_loaded_images,
 )
 
@@ -42,6 +44,18 @@ def test_guid_uppercase_hyphenated(forged):
     record = image_map.by_guid(COSMICSTRAND_GUID)
     assert record is not None
     assert record.identity.guid == "B18322E1-A4D7-11EF-BE59-000C2987BDE4"
+
+
+def test_by_guid_accepts_any_guid_form(forged):
+    image_map = scan_loaded_images(forged("cosmicstrand").dump)
+    want = image_map.by_guid(COSMICSTRAND_GUID)
+    for form in ("{%s}" % COSMICSTRAND_GUID.lower(), "urn:uuid:" + COSMICSTRAND_GUID,
+                 COSMICSTRAND_GUID.replace("-", "")):
+        assert normalize_guid(form) == COSMICSTRAND_GUID
+        assert image_map.by_guid(form) is want is not None
+    for bad in ("not-a-guid", COSMICSTRAND_GUID[:-1], ""):
+        with pytest.raises(ValueError):
+            normalize_guid(bad)
 
 
 def test_format_guid_little_endian_layout():
