@@ -35,6 +35,9 @@ ZERO_RUN = 1 << 20
 # File bytes a bulk pass handles at a time: the longest view ``iter_range``
 # yields and the stride of ``find_signature``. A multiple of any page size.
 WINDOW = 4 << 20
+# Probe hits one signature-scan window checks one by one before it hands the
+# rest of the window to a plain ``bytes.find`` of the whole signature.
+LEAD_HITS = 64
 _ZEROS = bytes(ZERO_RUN)
 
 
@@ -261,8 +264,34 @@ class MemoryDump:
         )
 
 
-def _find_all(buf: bytes, sig: bytes, start: int = 0, end: int | None = None):
-    pos = buf.find(sig, start, end)
+def _find_all(buf, sig: bytes, start: int = 0, end: int | None = None):
+    """Offsets of every ``sig`` lying whole in ``buf[start:end]``, ascending.
+
+    Probe, then compare: a one-byte ``find`` of the signature's first nonzero
+    byte is a ``memchr`` (zero, the commonest byte of pre-OS RAM, would make
+    a poor probe), and the whole signature is compared only where the probe
+    lies. After ``LEAD_HITS`` probe hits the rest of the range goes to one
+    plain ``find`` of the signature, so that probe-dense (or hostile) bytes
+    cost no more than that ``find`` would alone.
+    """
+    if end is None:
+        end = len(buf)
+    if end - start < len(sig):  # else ``stop`` could go negative and count from the end
+        return
+    k = len(sig) - len(sig.lstrip(b"\x00"))  # the caller refuses an all-zero sig
+    probe = sig[k:k + 1]
+    # A probe at ``stop`` or past it leaves no room for the signature's tail.
+    stop = end - len(sig) + k + 1
+    pos = start
+    for _ in range(LEAD_HITS):
+        hit = buf.find(probe, pos + k, stop)
+        if hit < 0:
+            return
+        pos = hit - k
+        if buf[pos:pos + len(sig)] == sig:
+            yield pos
+        pos += 1
+    pos = buf.find(sig, pos, end)
     while pos >= 0:
         yield pos
         pos = buf.find(sig, pos + 1, end)

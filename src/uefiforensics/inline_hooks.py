@@ -49,6 +49,13 @@ CROSS_IMAGE_NOTE = (
 )
 
 
+def check_limit(name: str, value, limit: int) -> None:
+    """Refuse, with a ``ValueError`` naming ``name``, anything but an ``int`` (not a
+    ``bool``) from 1 to ``limit``: the rule for a prologue window and a chain depth."""
+    if type(value) is not int or not 1 <= value <= limit:
+        raise ValueError(f"{name} must be an integer from 1 to {limit}, got {value!r}")
+
+
 class TransferKind(enum.Enum):
     CALL_RELATIVE = "call_relative"
     JMP_RELATIVE = "jmp_relative"
@@ -271,10 +278,10 @@ def scan_prologue(
     pointer slot is mapped.
 
     ``steps`` memoizes decoded instructions by address across sweeps of
-    the same dump; the result is the same with or without it.
+    the same dump; the result is the same with or without it. A ``window``
+    that ``check_limit`` refuses raises ``ValueError``.
     """
-    if window < 1:
-        raise ValueError("prologue window must be positive")
+    check_limit("window", window, PROLOGUE_WINDOW_LIMIT)
     if not dump.in_span(function_addr):
         raise OutOfBoundsRead(f"function address {function_addr:#x} outside dump span")
     if steps is None:
@@ -319,9 +326,11 @@ def detect_inline_hooks(
     When the function address resolves to no loaded image, the table
     baseline (if given) stands in as the expected range; with neither, the
     entry is skipped here because the pointer detector already owns it.
+    A ``max_depth`` or ``window`` that ``check_limit`` refuses raises
+    ``ValueError`` before any sweep.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+    check_limit("max_depth", max_depth, MAX_DEPTH_LIMIT)
+    check_limit("window", window, PROLOGUE_WINDOW_LIMIT)
     findings: list[InlineHookFinding] = []
     # Shared by every service of the table: a step, or a sweep at this window,
     # depends only on the dump and its address, never on the chain that reached it.

@@ -25,6 +25,7 @@ from .inline_hooks import (
     MAX_DEPTH_LIMIT,
     PROLOGUE_WINDOW_LIMIT,
     InlineHookFinding,
+    check_limit,
     detect_inline_hooks,
 )
 from .pointer_hooks import (
@@ -61,9 +62,7 @@ class AnalysisOptions:
     def __post_init__(self):
         for name, limit in (("prologue_window", PROLOGUE_WINDOW_LIMIT),
                             ("max_depth", MAX_DEPTH_LIMIT)):
-            value = getattr(self, name)
-            if type(value) is not int or not 1 <= value <= limit:  # a bool is not an int here
-                raise ValueError(f"{name} must be an integer from 1 to {limit}, got {value!r}")
+            check_limit(name, getattr(self, name), limit)
         if self.baseline_guid is not None:
             try:
                 object.__setattr__(self, "baseline_guid", normalize_guid(self.baseline_guid))
@@ -165,8 +164,8 @@ def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> An
     A ``baseline_guid`` naming no loaded image raises ``BaselineError``
     before anything is carved. The content hash and the carve run on two
     worker threads while this one scans and detects: SHA-256 and file
-    writes release the GIL, ``bytes.find`` holds it. Carve anomalies follow
-    the sorted ones.
+    writes release the GIL, the scan's ``find`` calls (its one-byte probes
+    too) hold it. Carve anomalies follow the sorted ones.
     """
     options = options or AnalysisOptions()
     with ThreadPoolExecutor(max_workers=2) as pool:

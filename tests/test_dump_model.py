@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from random import Random
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import uefiforensics
 from uefiforensics.dump_model import (
+    LEAD_HITS,
     WINDOW,
     ZERO_RUN,
     DumpLoadError,
@@ -31,7 +33,7 @@ from uefiforensics.forge import (
 )
 from uefiforensics.report import AnalysisOptions, analyze_dump, content_sha256, to_json_dict
 
-from helpers import brute_force_find, reassemble_dump_file
+from helpers import brute_force_find, plain_find, reassemble_dump_file
 
 
 def write_dump(tmp_path, data: bytes, regions=None):
@@ -319,6 +321,13 @@ def test_find_signature_across_region_boundary():
     assert dump.find_signature(b"ldri") == [0xFE]
 
 
+def test_find_signature_in_region_shorter_than_signature():
+    # The scan of a region too short to hold the signature must not reach
+    # into the file bytes of the next one.
+    dump = MemoryDump.from_regions([(0, b"BOOT"), (0x100, b"BOOTSERV")])
+    assert dump.find_signature(b"BOOTSERV") == [0x100]
+
+
 def test_find_signature_agrees_with_brute_force_on_sparse_dump():
     pieces = [(0x0, b"ldriXXldri" + bytes(0x40)), (0x100, bytes(0x20) + b"ldri" + bytes(0x10))]
     dump = MemoryDump.from_regions([(s, b) for s, b in pieces])
@@ -351,6 +360,83 @@ def test_find_signature_across_window_edge_of_loaded_dump(tmp_path):
     assert dump.find_signature(b"BOOTSERV") == list(hits)
     assert content_sha256(dump) == hashlib.sha256(data[offset:]).hexdigest()
     assert dump.find_signature(b"BOOTSERV") == list(hits)
+
+
+SCAN_SIGS = (b"ldri", b"SERV", b"BOOTSERV", b"\x00\x00\x00\x01")  # the last probes at offset 3
+# A probe byte of every signature, none of them the start of a match.
+FLOOD = b"lSB\x01" * (LEAD_HITS + 1)
+
+
+def test_probe_scan_equals_plain_find_past_lead_hits_and_edges(tmp_path):
+    # Each window that holds an edge match opens with the flood: a match of
+    # each signature before it, more than LEAD_HITS probe hits, matches after
+    # the scan has switched to a plain find, then the one straddling its edge.
+    first = bytearray(WINDOW + 0x1000)
+    second = bytearray(2 * WINDOW + 0x800)
+    matches = b"ldri\0\0\0\x01BOOTSERV"  # at +0, +4 and +8
+    for buf, lo in ((first, 0), (second, 0), (second, WINDOW)):
+        buf[lo + 0x100:lo + 0x110] = matches
+        buf[lo + 0x200:lo + 0x200 + len(FLOOD)] = FLOOD
+        buf[lo + 0x1000:lo + 0x1010] = matches
+    first[WINDOW - 6:WINDOW + 2] = b"BOOTSERV"  # SERV at WINDOW - 2
+    second[WINDOW - 2:WINDOW + 2] = b"ldri"
+    second[2 * WINDOW + 1] = 1  # 00 00 00 01 at 2 * WINDOW - 2
+    first[-2:], second[:2] = b"ld", b"ri"  # across the edge of adjacent regions
+    third = b"\x01" + bytes(0xFF)  # 00 00 00 01 from the gap into the region
+    a, b = 0x3000, 0x3000 + len(first)
+    c = b + len(second) + 0x10
+    pieces = [(a, bytes(first)), (b, bytes(second)), (c, third)]
+    # Then, per signature, a region of exactly LEAD_HITS probe hits and a match
+    # right after them: where the scan hands over to the plain find.
+    handover, at = {}, c + 0x1000
+    for sig in SCAN_SIGS:
+        k = len(sig) - len(sig.lstrip(b"\0"))
+        pieces.append((at, sig[k:k + 1] * (LEAD_HITS + k) + sig))
+        handover[sig] = at + LEAD_HITS + k
+        at += 0x1000
+    dump = MemoryDump.from_regions(pieces)
+    assert dump.total_span > 2 * WINDOW + 1
+    dump.save(tmp_path / "d.dump", tmp_path / "d.map.json")
+    loaded = load_dump(tmp_path / "d.dump", tmp_path / "d.map.json")
+    flat = dump.read_bytes(0, dump.total_span)
+    planted = {
+        b"ldri": {a + 0x100, a + 0x1000, b - 2, b + WINDOW - 2, b + WINDOW + 0x1000},
+        b"SERV": {a + 0x10C, a + 0x100C, a + WINDOW - 2, b + WINDOW + 0x100C},
+        b"BOOTSERV": {a + 0x108, a + 0x1008, a + WINDOW - 6, b + WINDOW + 0x1008},
+        b"\x00\x00\x00\x01": {a + 0x104, a + 0x1004, b + 2 * WINDOW - 2, c - 3},
+    }
+    for sig in SCAN_SIGS:
+        want = plain_find(flat, sig)
+        assert planted[sig] | {handover[sig]} <= set(want)
+        assert dump.find_signature(sig) == want
+        assert loaded.find_signature(sig) == want
+
+
+def best_of_three(*fns) -> list[float]:
+    """Each of ``fns``' best of three timings, run in turn so that drift hits all alike."""
+    best = [float("inf")] * len(fns)
+    for _ in range(3):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
+@pytest.mark.parametrize("fill", [b"l", b"S", b"random"])
+def test_probe_scan_costs_no_more_than_plain_find_on_probe_dense_bytes(fill):
+    # Every byte a probe byte, or one in 256: the probe scan must stay within
+    # 1.25x the windowed plain find it replaces, best of three in this process.
+    size = 64 << 20
+    buf = Random(22).randbytes(size) if fill == b"random" else fill * size
+    dump = MemoryDump.from_regions([(0, buf)])
+    for sig in (b"ldri", b"SERV"):
+        def plain():
+            return [pos for lo in range(0, size, WINDOW)
+                    for pos in plain_find(buf, sig, lo, min(lo + WINDOW + len(sig) - 1, size))]
+
+        plain_s, probe_s = best_of_three(plain, lambda: dump.find_signature(sig))
+        assert probe_s <= 1.25 * plain_s, (sig, probe_s, plain_s)
 
 
 def report_doc(dump, carve_dir) -> dict:

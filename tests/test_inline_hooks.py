@@ -23,6 +23,8 @@ from uefiforensics.image_registry import (
     scan_loaded_images,
 )
 from uefiforensics.inline_hooks import (
+    MAX_DEPTH_LIMIT,
+    PROLOGUE_WINDOW_LIMIT,
     STOP_JMP,
     STOP_OPAQUE,
     STOP_RET,
@@ -224,6 +226,30 @@ def test_scan_prologue_unreadable_address():
     dump = make_code_dump(b"\x90")
     with pytest.raises(OutOfBoundsRead):
         scan_prologue(dump, 0x4000)
+
+
+# Each value AnalysisOptions refuses for the field the parameter feeds.
+BAD_WINDOWS = [0, 32.0, True, "32", PROLOGUE_WINDOW_LIMIT + 1, 1 << 24]
+BAD_DEPTHS = [0, 2.5, False, MAX_DEPTH_LIMIT + 1]
+
+
+@pytest.mark.parametrize("window", BAD_WINDOWS)
+def test_scan_prologue_refuses_a_window_analysis_options_refuses(window):
+    with pytest.raises(ValueError, match="prologue_window"):
+        AnalysisOptions(prologue_window=window)
+    with pytest.raises(ValueError, match="window"):
+        scan_prologue(make_code_dump(b"\xC3"), 0x1000, window=window)
+
+
+@pytest.mark.parametrize("field, value", [
+    *(("window", v) for v in BAD_WINDOWS),
+    *(("max_depth", v) for v in BAD_DEPTHS),
+])
+def test_detect_inline_hooks_refuses_what_analysis_options_refuses(forged, field, value):
+    dump = forged("clean").dump
+    table, image_map = raise_tpl_only(dump)
+    with pytest.raises(ValueError, match=field):
+        detect_inline_hooks(dump, table, image_map, **{field: value})
 
 
 def test_scan_resolves_rip_relative_slot_through_dump():

@@ -73,9 +73,26 @@ def test_read_bytes_equals_manual_reassembly(pieces):
     assert loaded.read_bytes(0, span) == bytes(flat)
 
 
+# Pieces dense in probe bytes (runs of ``l``, ``S`` and 01, among whole
+# signatures), so that a scan's probe often passes ``LEAD_HITS`` in one region.
+probe_dense_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 0x300),
+        st.lists(
+            st.builds(lambda b, n: b * n, st.sampled_from([b"l", b"S", b"\x01"]), st.integers(1, 80))
+            | st.sampled_from([b"\x00", b"ldri", b"SERV", b"BOOTSERV", b"\x00\x00\x00\x01"]),
+            min_size=1,
+            max_size=12,
+        ).map(b"".join),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
 @given(
-    regions_strategy,
-    st.sampled_from([b"ldri", b"\x00\x00\x00\x01", b"\xFF\xFF\xFF\xFF", b"BOOTSERV"]),
+    regions_strategy | probe_dense_strategy,
+    st.sampled_from([b"ldri", b"SERV", b"\x00\x00\x00\x01", b"\xFF\xFF\xFF\xFF", b"BOOTSERV"]),
 )
 @settings(max_examples=200)
 def test_find_signature_equals_brute_force(pieces, sig):
