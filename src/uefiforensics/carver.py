@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dump_model import Anomaly, MemoryDump, OutOfBoundsRead, PhysAddr
+from .dump_model import Anomaly, MemoryDump, PhysAddr
 from .image_registry import ImageIdentity, ImageMap
 
 logger = logging.getLogger(__name__)
@@ -77,8 +77,8 @@ def carve_images(
 
     Files are named from the sanitized file path basename (or the GUID),
     with numeric suffixes on collision; ordering and naming are
-    deterministic for a given dump. Records whose range falls outside the
-    dump span are skipped with an anomaly.
+    deterministic for a given dump. ``image_map`` comes from
+    ``scan_loaded_images(dump)``, which keeps only records inside the span.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -88,11 +88,6 @@ def carve_images(
     used_names: set[str] = set()
     with ThreadPoolExecutor(max_workers=1) as hasher:
         for record in image_map.records:
-            try:
-                chunks = dump.iter_range(record.image_base, record.image_size)
-            except OutOfBoundsRead as exc:
-                anomalies.append(Anomaly("carve_skipped", record.image_base, str(exc)))
-                continue
             pe_valid, machine, pe_size = record.pe_header
             if not pe_valid:
                 anomalies.append(
@@ -112,6 +107,7 @@ def carve_images(
                     )
                 )
             name = _unique_name(_sanitize_name(record.identity), used_names)
+            chunks = dump.iter_range(record.image_base, record.image_size)
             carved.append(
                 CarvedImage(
                     identity=record.identity,

@@ -54,7 +54,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_dump_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("dump", help="raw memory dump file")
     parser.add_argument("--map", dest="map_path", metavar="MAP",
-                        help="region-map sidecar (default: <dump>.map.json if present)")
+                        help="region-map sidecar (default: <stem>.map.json, then "
+                             "<dump>.map.json, if present)")
 
 
 def build_parser() -> argparse.ArgumentParser:

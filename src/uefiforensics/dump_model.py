@@ -228,15 +228,16 @@ class MemoryDump:
         """Addresses of every occurrence of ``sig``, at any byte offset, ascending.
 
         Matches straddling region boundaries are honoured, so the result is
-        identical to scanning the fully reassembled image. An all-zero
-        ``sig`` is refused: it would also match throughout every gap.
+        identical to scanning the fully reassembled image. ``sig`` must be
+        non-empty and hold no zero byte, so no match touches a gap: each one
+        starts in one region and lies whole in it or runs on into the next.
         """
         sig = bytes(sig)
-        if not any(sig):
-            raise ValueError("signature must hold a nonzero byte")
+        if not sig or 0 in sig:
+            raise ValueError("signature must be non-empty and hold no zero byte")
 
         pad = len(sig) - 1
-        found: set[int] = set()
+        hits: list[int] = []
         for region in self._regions:
             # Matches inside the region, found where its bytes lie in the file,
             # one window at a time; windows overlap by ``pad`` bytes, so a match
@@ -244,16 +245,16 @@ class MemoryDump:
             shift = region.phys_start - region.file_offset
             end = region.file_offset + region.length
             for lo in range(region.file_offset, end, WINDOW):
-                found.update(pos + shift for pos in _find_all(
+                hits.extend(pos + shift for pos in _find_all(
                     self._data, sig, lo, min(lo + WINDOW + pad, end)))
                 self._drop(lo, min(WINDOW, end - lo))
-            # Matches crossing an edge of the region lie in the pad bytes
-            # either side of it, reassembled with whatever borders it.
-            for edge in (region.phys_start, region.phys_end):
-                lo, hi = max(edge - pad, 0), min(edge + pad, self.total_span)
-                if hi - lo > pad:
-                    found.update(lo + pos for pos in _find_all(self.read_bytes(lo, hi - lo), sig))
-        hits = sorted(found)
+            # Matches running past the region's end start in its last ``pad``
+            # bytes, reassembled with whatever follows.
+            lo = max(region.phys_start, region.phys_end - pad)
+            hi = min(region.phys_end + pad, self.total_span)
+            if hi - lo > pad:
+                edge = self.read_bytes(lo, hi - lo)
+                hits.extend(lo + pos for pos in _find_all(edge, sig, 0, len(edge)))
         logger.debug("signature %r: %d hit(s)", sig, len(hits))
         return hits
 
@@ -264,30 +265,25 @@ class MemoryDump:
         )
 
 
-def _find_all(buf, sig: bytes, start: int = 0, end: int | None = None):
+def _find_all(buf, sig: bytes, start: int, end: int):
     """Offsets of every ``sig`` lying whole in ``buf[start:end]``, ascending.
 
-    Probe, then compare: a one-byte ``find`` of the signature's first nonzero
-    byte is a ``memchr`` (zero, the commonest byte of pre-OS RAM, would make
-    a poor probe), and the whole signature is compared only where the probe
-    lies. After ``LEAD_HITS`` probe hits the rest of the range goes to one
-    plain ``find`` of the signature, so that probe-dense (or hostile) bytes
-    cost no more than that ``find`` would alone.
+    Probe, then compare: a one-byte ``find`` of the signature's first byte
+    is a ``memchr``, and the whole signature is compared only where the
+    probe lies. After ``LEAD_HITS`` probe hits the rest of the range goes to
+    one plain ``find`` of the signature, so that probe-dense (or hostile)
+    bytes cost no more than that ``find`` would alone.
     """
-    if end is None:
-        end = len(buf)
     if end - start < len(sig):  # else ``stop`` could go negative and count from the end
         return
-    k = len(sig) - len(sig.lstrip(b"\x00"))  # the caller refuses an all-zero sig
-    probe = sig[k:k + 1]
+    probe = sig[:1]
     # A probe at ``stop`` or past it leaves no room for the signature's tail.
-    stop = end - len(sig) + k + 1
+    stop = end - len(sig) + 1
     pos = start
     for _ in range(LEAD_HITS):
-        hit = buf.find(probe, pos + k, stop)
-        if hit < 0:
+        pos = buf.find(probe, pos, stop)
+        if pos < 0:
             return
-        pos = hit - k
         if buf[pos:pos + len(sig)] == sig:
             yield pos
         pos += 1

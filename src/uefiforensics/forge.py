@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from random import Random
-from typing import NamedTuple
 
 from .dump_model import MemoryDump, Region
 from .image_registry import LDRI_RECORD, LDRI_RECORD_LEN, LDRI_SIGNATURE, normalize_guid
@@ -501,8 +500,6 @@ def _normalize_guid(guid: str) -> str:
 
 
 def _validate_spec(spec: ScenarioSpec) -> None:
-    if not spec.images:
-        raise ForgeError("scenario needs at least one image")
     cores = [i for i in spec.images if i.role == ROLE_CORE]
     if len(cores) != 1:
         raise ForgeError("scenario must contain exactly one core image")
@@ -560,7 +557,9 @@ def _validate_spec(spec: ScenarioSpec) -> None:
             raise ForgeError(f"unknown decoy kind {decoy.kind!r}")
 
 
-_KIND_BY_SERVICE = {name: kind for kind in TableKind for name in kind.services}
+# Every service, in the order of its stub in the core's stub area.
+_SERVICES = tuple((kind, name) for kind in TableKind for name in kind.services)
+_KIND_BY_SERVICE = {name: kind for kind, name in _SERVICES}
 
 
 def _table_of_service(service: str) -> TableKind:
@@ -593,15 +592,6 @@ class _PlacedImage:
         return self.base + offset
 
 
-class _InlinePlan(NamedTuple):
-    """One inline hook's chain: hop sites in the core, then the payload cell."""
-
-    hook: InlineHookSpec
-    table: TableKind
-    sites: tuple[int, ...]
-    payload_addr: int
-
-
 @dataclass(frozen=True)
 class ForgedScenario:
     """A built scenario: in-memory dump, ground truth, and file emission."""
@@ -632,8 +622,8 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
     rng = Random(_derive_seed(seed, spec.name))
     layout, placed = _place(spec)
     core = next(p for p in placed.values() if p.spec.role == ROLE_CORE)
-    plans = _plan_inline_hooks(spec, placed, core)
-    stub_addrs, stub_listings, inline_truths = _write_stubs(layout, core, rng, plans)
+    hooks = _write_hooks(layout, spec, placed, core)
+    stub_addrs, stub_listings, inline_truths = _write_stubs(layout, core, rng, hooks)
     pointer_truths = _write_cells(layout, spec, placed, rng)
     table_truths = _write_tables(layout, spec, stub_addrs, pointer_truths)
     _write_records(layout, placed)
@@ -691,46 +681,71 @@ def _place(spec: ScenarioSpec) -> tuple[_Layout, dict[str, _PlacedImage]]:
     return layout, placed
 
 
-def _plan_inline_hooks(spec, placed, core) -> dict[tuple[TableKind, str], _InlinePlan]:
-    """Reserve each inline hook's payload cell and chain sites, in spec order."""
-    site_addrs = range(core.base + CHAIN_AREA_OFFSET,
-                       core.base + DECOY_SIG_OFFSET - CHAIN_SITE_SIZE + 1, CHAIN_SITE_SIZE)
-    used = 0
-    plans = {}
+def _write_hooks(layout, spec, placed, core):
+    """Write each inline hook's chain sites and payload marker, in spec order.
+
+    Each hook reserves its payload cell, then takes the next free chain
+    sites in the core. Returns, per hooked ``(kind, service)``, the hook
+    instructions its stub opens with and the detector-visible transfer
+    chain as ground truth.
+    """
+    site = core.base + CHAIN_AREA_OFFSET
+    hooks: dict[tuple[TableKind, str], tuple[list[bytes], InlineHookTruth]] = {}
     for hook in spec.inline_hooks:
-        table = _table_of_service(hook.service)
+        key = (_table_of_service(hook.service), hook.service)
+        addr = core.base + STUB_AREA_OFFSET + _SERVICES.index(key) * STUB_SIZE
         payload_addr = placed[hook.payload].reserve_cell(hook.payload_offset)
-        sites = tuple(site_addrs[used:used + hook.depth - 1])
-        if len(sites) != hook.depth - 1:
-            raise ForgeError("chain site area exhausted")
-        used += len(sites)
-        plans[(table, hook.service)] = _InlinePlan(hook, table, sites, payload_addr)
-    return plans
+        sites = range(site, site + (hook.depth - 1) * CHAIN_SITE_SIZE, CHAIN_SITE_SIZE)
+        site = sites.stop
+        hops = (*sites, payload_addr)
+        if hook.style == STYLE_MOV_JMP:  # mov rax, imm64; jmp rax
+            jmp = b"\xFF\xE0"
+            instructions = [b"\x48\xB8" + struct.pack("<Q", payload_addr), jmp]
+            chain = [TransferTruth(addr + 10, TransferKind.JMP_INDIRECT, 2, None, jmp.hex())]
+        else:
+            opcode, kind = ((b"\xE8", TransferKind.CALL_RELATIVE) if hook.style == STYLE_CALL_REL32
+                            else (b"\xE9", TransferKind.JMP_RELATIVE))
+            enc = opcode + _rel32(addr, 5, hops[0])
+            instructions = [enc]
+            chain = [TransferTruth(addr, kind, 5, hops[0], enc.hex())]
+        # Chain sites: each hop's bytes and its truth share one encoding.
+        for at, target in zip(sites, hops[1:]):
+            enc = b"\xE9" + _rel32(at, 5, target)
+            layout.write(at, enc.ljust(CHAIN_SITE_SIZE, b"\xCC"))
+            chain.append(TransferTruth(at, TransferKind.JMP_RELATIVE, 5, target, enc.hex()))
+        layout.write(payload_addr, b"\x90\x90\xC3")  # inert payload marker
+        hooks[key] = instructions, InlineHookTruth(
+            table=key[0],
+            service=hook.service,
+            function_addr=addr,
+            hook_addr=chain[0].at,
+            style=hook.style,
+            payload_addr=payload_addr,
+            payload_key=hook.payload,
+            indeterminate=hook.style == STYLE_MOV_JMP,
+            chain=tuple(chain),
+        )
+    return hooks
 
 
-def _write_stubs(layout, core, rng, plans):
-    """Write every service's 64-byte stub into the core, hooked ones with their chains.
+def _write_stubs(layout, core, rng, hooks):
+    """Write every service's 64-byte stub into the core, a hooked one after its hook.
 
     Returns the stub address of each service, each stub's instruction
-    listing and the inline hook truths.
+    listing and the inline hook truths, in service order.
     """
-    services = [(kind, name) for kind in TableKind for name in kind.services]
-    if STUB_AREA_OFFSET + len(services) * STUB_SIZE > CHAIN_AREA_OFFSET:
-        raise ForgeError("stub area overflows into chain area")
     stub_addrs: dict[tuple[TableKind, str], int] = {}
     listings: dict[str, tuple[StubInstruction, ...]] = {}
     truths: list[InlineHookTruth] = []
-    for i, (kind, name) in enumerate(services):
+    for i, (kind, name) in enumerate(_SERVICES):
         addr = stub_addrs[(kind, name)] = core.base + STUB_AREA_OFFSET + i * STUB_SIZE
-        plan = plans.get((kind, name))
-        instructions = []
-        if plan is not None:
-            instructions, truth = _write_hook(layout, addr, plan)
+        instructions, truth = hooks.get((kind, name), ([], None))
+        if truth is not None:
             truths.append(truth)
         # A jmp-style hook diverts flow unconditionally: nothing after it
         # runs, and the sweep stops there too. call-style hooks return, so
         # give them a benign tail like the real patched function would keep.
-        if plan is None or plan.hook.style == STYLE_CALL_REL32:
+        if truth is None or truth.style == STYLE_CALL_REL32:
             instructions += _benign_body(rng, STUB_SIZE - sum(map(len, instructions)))
         layout.write(addr, b"".join(instructions).ljust(STUB_SIZE, b"\xCC"))
         listing, at = [], addr
@@ -739,44 +754,6 @@ def _write_stubs(layout, core, rng, plans):
             at += len(insn)
         listings[f"{kind.value}/{name}"] = tuple(listing)
     return stub_addrs, listings, truths
-
-
-def _write_hook(layout, addr: int, plan: _InlinePlan) -> tuple[list[bytes], InlineHookTruth]:
-    """The hook instructions for the stub at ``addr``; writes its chain sites and payload.
-
-    Returns the instructions and the detector-visible transfer chain as
-    ground truth.
-    """
-    hook = plan.hook
-    hops = plan.sites + (plan.payload_addr,)
-    if hook.style == STYLE_MOV_JMP:  # mov rax, imm64; jmp rax
-        jmp = b"\xFF\xE0"
-        instructions = [b"\x48\xB8" + struct.pack("<Q", plan.payload_addr), jmp]
-        chain = [TransferTruth(addr + 10, TransferKind.JMP_INDIRECT, 2, None, jmp.hex())]
-    else:
-        opcode, kind = ((b"\xE8", TransferKind.CALL_RELATIVE) if hook.style == STYLE_CALL_REL32
-                        else (b"\xE9", TransferKind.JMP_RELATIVE))
-        enc = opcode + _rel32(addr, 5, hops[0])
-        instructions = [enc]
-        chain = [TransferTruth(addr, kind, 5, hops[0], enc.hex())]
-    # Chain sites: each hop's bytes and its truth share one encoding.
-    for site, target in zip(plan.sites, hops[1:]):
-        enc = b"\xE9" + _rel32(site, 5, target)
-        layout.write(site, enc.ljust(CHAIN_SITE_SIZE, b"\xCC"))
-        chain.append(TransferTruth(site, TransferKind.JMP_RELATIVE, 5, target, enc.hex()))
-    layout.write(plan.payload_addr, b"\x90\x90\xC3")  # inert payload marker
-    truth = InlineHookTruth(
-        table=plan.table,
-        service=hook.service,
-        function_addr=addr,
-        hook_addr=chain[0].at,
-        style=hook.style,
-        payload_addr=plan.payload_addr,
-        payload_key=hook.payload,
-        indeterminate=hook.style == STYLE_MOV_JMP,
-        chain=tuple(chain),
-    )
-    return instructions, truth
 
 
 def _write_cells(layout, spec, placed, rng) -> list[PointerHookTruth]:

@@ -146,10 +146,8 @@ def read_pe_header(dump: MemoryDump, base: PhysAddr, size: int) -> tuple[bool, i
 
 
 def _decode_path(dump: MemoryDump, ptr: PhysAddr) -> str:
-    limit = min(2 * (MAX_PATH_CHARS + 1), dump.total_span - ptr)
-    if limit < 2:
-        raise ValueError("path pointer at end of span")
-    raw = dump.read_bytes(ptr, limit)
+    """The NUL-terminated UTF-16LE path at ``ptr``; its first 2 bytes lie in the span."""
+    raw = dump.read_bytes(ptr, min(2 * (MAX_PATH_CHARS + 1), dump.total_span - ptr))
     for i in range(0, len(raw) - 1, 2):
         if raw[i] == 0 and raw[i + 1] == 0:
             return raw[:i].decode("utf-16-le")

@@ -35,7 +35,6 @@ class BaselineError(Exception):
 class OwnershipBaseline:
     """The image designated as a table's legitimate service implementer."""
 
-    table_kind: TableKind
     image: LoadedImageRecord
     confidence: str  # "high" | "low"
     source: str      # "majority" | "plurality" | "override"
@@ -64,7 +63,7 @@ def infer_baseline(
     An ``override`` record short-circuits inference entirely.
     """
     if override is not None:
-        return OwnershipBaseline(table.kind, override, confidence="high", source="override")
+        return OwnershipBaseline(override, confidence="high", source="override")
 
     non_null = [e for e in table.entries if e.pointer != 0]
     counts: Counter[LoadedImageRecord] = Counter()
@@ -89,7 +88,7 @@ def infer_baseline(
             "%s table baseline is low-confidence: %s owns %d of %d pointers",
             table.kind.value, best.identity.label, best_count, len(non_null),
         )
-    return OwnershipBaseline(table.kind, best, confidence=confidence, source=source)
+    return OwnershipBaseline(best, confidence=confidence, source=source)
 
 
 def detect_pointer_hooks(

@@ -143,7 +143,6 @@ class TableHeader:
     revision: int
     header_size: int
     crc32: int
-    reserved: int
 
 
 @dataclass(frozen=True)
@@ -174,9 +173,6 @@ class ServiceTable:
     def null_entries(self) -> tuple[ServiceEntry, ...]:
         return tuple(e for e in self.entries if e.pointer == 0)
 
-    def entry_addr(self, index: int) -> PhysAddr:
-        return self.table_addr + HEADER_LEN + ENTRY_LEN * index
-
 
 def parse_table(dump: MemoryDump, kind: TableKind, addr: PhysAddr) -> ServiceTable:
     """Decode the table at ``addr``; raises TableParseError on bad structure.
@@ -190,7 +186,7 @@ def parse_table(dump: MemoryDump, kind: TableKind, addr: PhysAddr) -> ServiceTab
         raw = dump.read_bytes(addr, HEADER_LEN)
     except OutOfBoundsRead as exc:
         raise TableParseError(f"header at {addr:#x} extends past dump span") from exc
-    signature, revision, header_size, crc32, reserved = TABLE_HEADER.unpack(raw)
+    signature, revision, header_size, crc32, _ = TABLE_HEADER.unpack(raw)
     if signature != kind.signature:
         raise TableParseError(
             f"signature mismatch at {addr:#x}: {signature!r} != {kind.signature!r}"
@@ -217,7 +213,7 @@ def parse_table(dump: MemoryDump, kind: TableKind, addr: PhysAddr) -> ServiceTab
     pointers = struct.unpack(f"<{count}Q", raw_entries)
     entries = tuple(ServiceEntry(i, names[i], ptr) for i, ptr in enumerate(pointers))
 
-    header = TableHeader(signature, revision, header_size, crc32, reserved)
+    header = TableHeader(signature, revision, header_size, crc32)
     return ServiceTable(kind, addr, header, entries, tuple(flags))
 
 

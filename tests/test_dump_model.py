@@ -335,14 +335,35 @@ def test_find_signature_agrees_with_brute_force_on_sparse_dump():
     assert dump.find_signature(b"ldri") == brute_force_find(flat, b"ldri") == [0, 6, 0x120]
 
 
-def test_find_signature_matches_into_gaps():
-    # Zero bytes of a match may lie in a gap; an all-zero signature is refused.
-    dump = MemoryDump.from_regions([(0, b"\xFF" * 8), (0x20, b"\x01" * 8)])
-    flat = dump.read_bytes(0, dump.total_span)
-    sig = b"\x00\x00\x00\x01"
-    assert dump.find_signature(sig) == brute_force_find(flat, sig) == [0x1D]
+@pytest.mark.parametrize("sig", [b"", b"\x00", bytes(4), b"ld\x00i", b"\x00\x00\x00\x01"],
+                         ids=["empty", "zero", "all-zero", "inner-zero", "leading-zeros"])
+def test_find_signature_refuses_empty_or_zero_byte_signature(tmp_path, sig):
+    # A signature with a zero byte could match into a gap; none is scanned for.
+    path, map_path = write_dump(tmp_path, b"ldri" + bytes(0x100), [
+        {"phys_start": 0, "file_offset": 0, "length": 0x80},
+        {"phys_start": 0x100, "file_offset": 0x80, "length": 0x84},
+    ])
     with pytest.raises(ValueError):
-        dump.find_signature(bytes(4))
+        load_dump(path, map_path).find_signature(sig)
+
+
+@pytest.mark.parametrize("head", range(1, 8))
+def test_find_signature_across_a_region_shorter_than_the_signature(head):
+    # Adjacent regions: a match with ``head`` bytes at the end of the first
+    # runs on through a middle region shorter than the signature into the
+    # third (at head 7 there is no middle: the match starts as far back as a
+    # crossing match can), and matches sit at the outer ends. Each is found
+    # once, in order.
+    sig = b"BOOTSERV"
+    pieces, at = [], 0
+    for piece in (sig + bytes(0x20) + sig[:head], sig[head:7], sig[7:] + bytes(0x20) + sig):
+        if piece:
+            pieces.append((at, piece))
+            at += len(piece)
+    dump = MemoryDump.from_regions(pieces)
+    flat = dump.read_bytes(0, dump.total_span)
+    want = [0, len(pieces[0][1]) - head, dump.total_span - len(sig)]
+    assert dump.find_signature(sig) == plain_find(flat, sig) == want
 
 
 def test_find_signature_across_window_edge_of_loaded_dump(tmp_path):
@@ -362,9 +383,9 @@ def test_find_signature_across_window_edge_of_loaded_dump(tmp_path):
     assert dump.find_signature(b"BOOTSERV") == list(hits)
 
 
-SCAN_SIGS = (b"ldri", b"SERV", b"BOOTSERV", b"\x00\x00\x00\x01")  # the last probes at offset 3
+SCAN_SIGS = (b"ldri", b"SERV", b"BOOTSERV")
 # A probe byte of every signature, none of them the start of a match.
-FLOOD = b"lSB\x01" * (LEAD_HITS + 1)
+FLOOD = b"lSB" * (LEAD_HITS + 1)
 
 
 def test_probe_scan_equals_plain_find_past_lead_hits_and_edges(tmp_path):
@@ -373,16 +394,16 @@ def test_probe_scan_equals_plain_find_past_lead_hits_and_edges(tmp_path):
     # the scan has switched to a plain find, then the one straddling its edge.
     first = bytearray(WINDOW + 0x1000)
     second = bytearray(2 * WINDOW + 0x800)
-    matches = b"ldri\0\0\0\x01BOOTSERV"  # at +0, +4 and +8
+    matches = b"ldri\xFF\xFF\xFF\xFFBOOTSERV"  # at +0 and +8
     for buf, lo in ((first, 0), (second, 0), (second, WINDOW)):
         buf[lo + 0x100:lo + 0x110] = matches
         buf[lo + 0x200:lo + 0x200 + len(FLOOD)] = FLOOD
         buf[lo + 0x1000:lo + 0x1010] = matches
     first[WINDOW - 6:WINDOW + 2] = b"BOOTSERV"  # SERV at WINDOW - 2
     second[WINDOW - 2:WINDOW + 2] = b"ldri"
-    second[2 * WINDOW + 1] = 1  # 00 00 00 01 at 2 * WINDOW - 2
     first[-2:], second[:2] = b"ld", b"ri"  # across the edge of adjacent regions
-    third = b"\x01" + bytes(0xFF)  # 00 00 00 01 from the gap into the region
+    second[-2:] = b"ld"  # and no match across the gap to the next region
+    third = b"ri" + bytes(0xFE)
     a, b = 0x3000, 0x3000 + len(first)
     c = b + len(second) + 0x10
     pieces = [(a, bytes(first)), (b, bytes(second)), (c, third)]
@@ -390,9 +411,8 @@ def test_probe_scan_equals_plain_find_past_lead_hits_and_edges(tmp_path):
     # right after them: where the scan hands over to the plain find.
     handover, at = {}, c + 0x1000
     for sig in SCAN_SIGS:
-        k = len(sig) - len(sig.lstrip(b"\0"))
-        pieces.append((at, sig[k:k + 1] * (LEAD_HITS + k) + sig))
-        handover[sig] = at + LEAD_HITS + k
+        pieces.append((at, sig[:1] * LEAD_HITS + sig))
+        handover[sig] = at + LEAD_HITS
         at += 0x1000
     dump = MemoryDump.from_regions(pieces)
     assert dump.total_span > 2 * WINDOW + 1
@@ -403,7 +423,6 @@ def test_probe_scan_equals_plain_find_past_lead_hits_and_edges(tmp_path):
         b"ldri": {a + 0x100, a + 0x1000, b - 2, b + WINDOW - 2, b + WINDOW + 0x1000},
         b"SERV": {a + 0x10C, a + 0x100C, a + WINDOW - 2, b + WINDOW + 0x100C},
         b"BOOTSERV": {a + 0x108, a + 0x1008, a + WINDOW - 6, b + WINDOW + 0x1008},
-        b"\x00\x00\x00\x01": {a + 0x104, a + 0x1004, b + 2 * WINDOW - 2, c - 3},
     }
     for sig in SCAN_SIGS:
         want = plain_find(flat, sig)

@@ -7,11 +7,16 @@ import pytest
 
 from uefiforensics.dump_model import MemoryDump, load_dump
 from uefiforensics.forge import (
+    CHAIN_AREA_OFFSET,
+    CHAIN_SITE_SIZE,
     COMPACT_GEOMETRY,
     CORE_GUID,
+    DECOY_SIG_OFFSET,
     DEFAULT_GEOMETRY,
     LDRI_CELL_SIZE,
     MOONBOUNCE_PAYLOAD_BASE,
+    STUB_AREA_OFFSET,
+    STUB_SIZE,
     STYLE_MOV_JMP,
     DecoySpec,
     ForgeError,
@@ -25,7 +30,7 @@ from uefiforensics.forge import (
     scenario_by_name,
 )
 from uefiforensics.image_registry import read_pe_header, scan_loaded_images
-from uefiforensics.report import analyze_dump
+from uefiforensics.report import AnalysisOptions, analyze_dump
 from uefiforensics.service_tables import TableKind, locate_tables
 
 
@@ -277,6 +282,25 @@ def test_forge_holds_each_byte_once():
     assert dump.read_bytes(0x10, 8) == b"LOWMEM\x00\x00"
     assert type(dump.read_bytes(cluster.phys_start, 0x100)) is bytes
     assert type(dump.read_bytes(low.phys_end - 8, 16)) is bytes
+
+
+def test_stub_and_chain_areas_hold_every_service_hooked_at_depth_four():
+    # The forge checks neither area's bounds, because neither can overflow:
+    # each of the 75 services has one stub and takes at most one inline hook
+    # (duplicates are refused), and a hook takes at most 3 chain sites.
+    services = [name for kind in TableKind for name in kind.services]
+    assert len(services) == 75
+    assert STUB_AREA_OFFSET + len(services) * STUB_SIZE <= CHAIN_AREA_OFFSET
+    assert (DECOY_SIG_OFFSET - CHAIN_AREA_OFFSET) // CHAIN_SITE_SIZE >= 3 * len(services)
+
+    hooks = tuple(InlineHookSpec(service=name, depth=4, payload="\\EFI\\x.efi")
+                  for name in services)
+    scenario = build_scenario(compact_spec(inline_hooks=hooks))
+    report = analyze_dump(scenario.dump, AnalysisOptions(max_depth=4))
+    assert report.pointer_findings == []
+    assert len(report.inline_findings) == 75
+    assert ({(f.service_name, f.final_target) for f in report.inline_findings}
+            == {(h.service, h.payload_addr) for h in scenario.truth.inline_hooks})
 
 
 @pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY, COMPACT_GEOMETRY],

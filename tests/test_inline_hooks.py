@@ -423,7 +423,7 @@ def test_pointer_hooked_dump_stays_inline_clean(forged):
 
 
 def make_synthetic_table(pointer, kind=TableKind.BOOT):
-    header = TableHeader(kind.signature, 1, 24, 0, 0)
+    header = TableHeader(kind.signature, 1, 24, 0)
     entries = (ServiceEntry(0, "RaiseTPL", pointer),)
     return ServiceTable(kind, 0x10, header, entries)
 

@@ -4,6 +4,7 @@ import pytest
 
 from uefiforensics.dump_model import MemoryDump
 from uefiforensics.service_tables import (
+    ENTRY_LEN,
     HEADER_LEN,
     TABLE_HEADER,
     TableKind,
@@ -76,7 +77,6 @@ def test_parse_table_entry_offsets():
     table = parse_table(dump, TableKind.BOOT, 0x200)
     assert table.pointer_of("LoadImage") == 0x3E40_1000
     assert table.entry("LoadImage").index == 22
-    assert table.entry_addr(22) == 0x200 + 24 + 22 * 8
 
 
 def test_parse_table_header_fields():
@@ -92,7 +92,7 @@ def test_parse_table_offset_law(forged):
     tables, _ = locate_tables(dump)
     for table in tables:
         for entry in table.entries:
-            addr = table.entry_addr(entry.index)
+            addr = table.table_addr + HEADER_LEN + ENTRY_LEN * entry.index
             assert dump.read_u64(addr) == entry.pointer
 
 
