@@ -116,7 +116,7 @@ class MemoryDump:
         return self._regions
 
     @classmethod
-    def from_regions(cls, pieces, source_path: str = "<memory>") -> "MemoryDump":
+    def from_regions(cls, pieces) -> "MemoryDump":
         """Build a dump from (phys_start, bytes) pairs without touching disk.
 
         The pieces are laid end to end, in the order given, as the file.
@@ -126,7 +126,7 @@ class MemoryDump:
         for start, buf in pieces:
             regions.append(Region(phys_start=start, file_offset=offset, length=len(buf)))
             offset += len(buf)
-        return cls(b"".join(buf for _, buf in pieces), regions, source_path=source_path)
+        return cls(b"".join(buf for _, buf in pieces), regions)
 
     def save(self, dump_path, map_path) -> None:
         """Write the file bytes and the region-map sidecar that ``load_dump`` reads.

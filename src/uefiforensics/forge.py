@@ -30,7 +30,7 @@ from random import Random
 
 from .dump_model import MemoryDump, Region
 from .image_registry import LDRI_RECORD, LDRI_RECORD_LEN, LDRI_SIGNATURE, normalize_guid
-from .inline_hooks import DEFAULT_MAX_DEPTH, TransferKind
+from .inline_hooks import TransferKind
 from .service_tables import (
     ENTRY_LEN,
     HEADER_LEN,
@@ -283,7 +283,7 @@ class GroundTruth:
     def expected_pointer_findings(self) -> set[tuple[str, str]]:
         return {(h.table.value, h.service) for h in self.pointer_hooks}
 
-    def expected_inline_findings(self, max_depth: int = DEFAULT_MAX_DEPTH) -> list[InlineHookTruth]:
+    def expected_inline_findings(self, max_depth: int) -> list[InlineHookTruth]:
         return [h for h in self.inline_hooks if len(h.chain) <= max_depth]
 
     def image_by_key(self, key: str) -> ImageTruth:
@@ -316,19 +316,12 @@ def _to_json(value, field: str):
     return value
 
 
-def _derive_seed(*parts) -> int:
-    material = ":".join(str(p) for p in parts).encode()
+def _derive_seed(seed: int, name: str) -> int:
+    material = f"{seed}:{name}".encode()
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
-def build_minimal_pe(
-    size: int,
-    *,
-    machine: int = MACHINE_X64,
-    subsystem: int = 11,
-    image_base: int = 0,
-    label: str = "",
-) -> bytearray:
+def build_minimal_pe(size: int, *, label: str = "") -> bytearray:
     """Emit a minimal but well-formed PE32+ image of exactly ``size`` bytes.
 
     The header chain (MZ, e_lfanew at 0x3C, PE signature, COFF header, one
@@ -339,11 +332,11 @@ def build_minimal_pe(
     if size < MIN_PE_SIZE:
         raise ForgeError(f"PE image size {size} below minimum {MIN_PE_SIZE}")
     buf = bytearray(size)
-    _write_pe(buf, machine, subsystem, image_base, label)
+    _write_pe(buf, _SUBSYSTEM_BY_ROLE[ROLE_DRIVER], 0, label)
     return buf
 
 
-def _write_pe(buf, machine: int, subsystem: int, image_base: int, label: str) -> None:
+def _write_pe(buf, subsystem: int, image_base: int, label: str) -> None:
     """Write the PE32+ headers and label of a ``len(buf)``-byte image into zeroed ``buf``."""
     size = len(buf)
     e_lfanew = 0x80
@@ -355,7 +348,7 @@ def _write_pe(buf, machine: int, subsystem: int, image_base: int, label: str) ->
     opt_size = 112 + 16 * 8  # PE32+ fixed part + 16 data directories
     struct.pack_into(
         "<HHIIIHH", buf, pe + 4,
-        machine, 1, 0, 0, 0, opt_size, 0x0022,  # executable, large-address-aware
+        MACHINE_X64, 1, 0, 0, 0, opt_size, 0x0022,  # executable, large-address-aware
     )
 
     opt = pe + 24
@@ -416,22 +409,14 @@ _STUB_POOL = (
 _RET = b"\xC3"
 
 
-def _benign_body(rng: Random, budget: int) -> list[bytes]:
-    """A few pool instructions fitting in ``budget`` bytes, then ret."""
-    body = []
-    remaining = budget - 1  # keep room for the ret
-    for _ in range(rng.randint(2, 5)):
-        insn = _STUB_POOL[rng.randrange(len(_STUB_POOL))]
-        if len(insn) > remaining:
-            break
-        body.append(insn)
-        remaining -= len(insn)
-    body.append(_RET)
-    return body
+def _benign_body(rng: Random) -> list[bytes]:
+    """Two to five pool instructions, then ret: at most 26 bytes."""
+    return [_STUB_POOL[rng.randrange(len(_STUB_POOL))] for _ in range(rng.randint(2, 5))] + [_RET]
 
 
-def _rel32(at: int, length: int, target: int) -> bytes:
-    disp = target - (at + length)
+def _rel32(at: int, target: int) -> bytes:
+    """The displacement of a 5-byte rel32 transfer at ``at`` to ``target``."""
+    disp = target - (at + 5)
     if not -(1 << 31) <= disp < (1 << 31):
         raise ForgeError(f"rel32 displacement from {at:#x} to {target:#x} out of range")
     return struct.pack("<i", disp)
@@ -596,7 +581,6 @@ class _PlacedImage:
 class ForgedScenario:
     """A built scenario: in-memory dump, ground truth, and file emission."""
 
-    spec: ScenarioSpec
     dump: MemoryDump
     truth: GroundTruth
 
@@ -604,7 +588,7 @@ class ForgedScenario:
         """Emit ``<name>.dump``, ``<name>.map.json``, ``<name>.truth.json``."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        name = self.spec.name
+        name = self.truth.scenario
         dump_path = out_dir / f"{name}.dump"
         map_path = out_dir / f"{name}.map.json"
         truth_path = out_dir / f"{name}.truth.json"
@@ -622,8 +606,11 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
     rng = Random(_derive_seed(seed, spec.name))
     layout, placed = _place(spec)
     core = next(p for p in placed.values() if p.spec.role == ROLE_CORE)
-    hooks = _write_hooks(layout, spec, placed, core)
-    stub_addrs, stub_listings, inline_truths = _write_stubs(layout, core, rng, hooks)
+    stub_addrs = {
+        key: core.base + STUB_AREA_OFFSET + i * STUB_SIZE for i, key in enumerate(_SERVICES)
+    }
+    hooks = _write_hooks(layout, spec, placed, core, stub_addrs)
+    stub_listings, inline_truths = _write_stubs(layout, rng, stub_addrs, hooks)
     pointer_truths = _write_cells(layout, spec, placed, rng)
     table_truths = _write_tables(layout, spec, stub_addrs, pointer_truths)
     _write_records(layout, placed)
@@ -651,7 +638,7 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> ForgedScenario:
         null_services=tuple((k.value, s) for k, s in spec.null_services),
         stub_listings=stub_listings,
     )
-    return ForgedScenario(spec, dump, truth)
+    return ForgedScenario(dump, truth)
 
 
 def _place(spec: ScenarioSpec) -> tuple[_Layout, dict[str, _PlacedImage]]:
@@ -676,12 +663,11 @@ def _place(spec: ScenarioSpec) -> tuple[_Layout, dict[str, _PlacedImage]]:
         placed[key] = _PlacedImage(image, base, geom.ldri_base + idx * LDRI_CELL_SIZE)
     layout.build()
     for key, p in placed.items():
-        _write_pe(layout.view(p.base, p.spec.size), MACHINE_X64,
-                  _SUBSYSTEM_BY_ROLE[p.spec.role], p.base, key)
+        _write_pe(layout.view(p.base, p.spec.size), _SUBSYSTEM_BY_ROLE[p.spec.role], p.base, key)
     return layout, placed
 
 
-def _write_hooks(layout, spec, placed, core):
+def _write_hooks(layout, spec, placed, core, stub_addrs):
     """Write each inline hook's chain sites and payload marker, in spec order.
 
     Each hook reserves its payload cell, then takes the next free chain
@@ -693,7 +679,7 @@ def _write_hooks(layout, spec, placed, core):
     hooks: dict[tuple[TableKind, str], tuple[list[bytes], InlineHookTruth]] = {}
     for hook in spec.inline_hooks:
         key = (_table_of_service(hook.service), hook.service)
-        addr = core.base + STUB_AREA_OFFSET + _SERVICES.index(key) * STUB_SIZE
+        addr = stub_addrs[key]
         payload_addr = placed[hook.payload].reserve_cell(hook.payload_offset)
         sites = range(site, site + (hook.depth - 1) * CHAIN_SITE_SIZE, CHAIN_SITE_SIZE)
         site = sites.stop
@@ -705,12 +691,12 @@ def _write_hooks(layout, spec, placed, core):
         else:
             opcode, kind = ((b"\xE8", TransferKind.CALL_RELATIVE) if hook.style == STYLE_CALL_REL32
                             else (b"\xE9", TransferKind.JMP_RELATIVE))
-            enc = opcode + _rel32(addr, 5, hops[0])
+            enc = opcode + _rel32(addr, hops[0])
             instructions = [enc]
             chain = [TransferTruth(addr, kind, 5, hops[0], enc.hex())]
         # Chain sites: each hop's bytes and its truth share one encoding.
         for at, target in zip(sites, hops[1:]):
-            enc = b"\xE9" + _rel32(at, 5, target)
+            enc = b"\xE9" + _rel32(at, target)
             layout.write(at, enc.ljust(CHAIN_SITE_SIZE, b"\xCC"))
             chain.append(TransferTruth(at, TransferKind.JMP_RELATIVE, 5, target, enc.hex()))
         layout.write(payload_addr, b"\x90\x90\xC3")  # inert payload marker
@@ -728,17 +714,15 @@ def _write_hooks(layout, spec, placed, core):
     return hooks
 
 
-def _write_stubs(layout, core, rng, hooks):
+def _write_stubs(layout, rng, stub_addrs, hooks):
     """Write every service's 64-byte stub into the core, a hooked one after its hook.
 
-    Returns the stub address of each service, each stub's instruction
-    listing and the inline hook truths, in service order.
+    Returns each stub's instruction listing and the inline hook truths, in
+    service order.
     """
-    stub_addrs: dict[tuple[TableKind, str], int] = {}
     listings: dict[str, tuple[StubInstruction, ...]] = {}
     truths: list[InlineHookTruth] = []
-    for i, (kind, name) in enumerate(_SERVICES):
-        addr = stub_addrs[(kind, name)] = core.base + STUB_AREA_OFFSET + i * STUB_SIZE
+    for (kind, name), addr in stub_addrs.items():
         instructions, truth = hooks.get((kind, name), ([], None))
         if truth is not None:
             truths.append(truth)
@@ -746,14 +730,14 @@ def _write_stubs(layout, core, rng, hooks):
         # runs, and the sweep stops there too. call-style hooks return, so
         # give them a benign tail like the real patched function would keep.
         if truth is None or truth.style == STYLE_CALL_REL32:
-            instructions += _benign_body(rng, STUB_SIZE - sum(map(len, instructions)))
+            instructions += _benign_body(rng)
         layout.write(addr, b"".join(instructions).ljust(STUB_SIZE, b"\xCC"))
         listing, at = [], addr
         for insn in instructions:
             listing.append(StubInstruction(at, len(insn), insn.hex()))
             at += len(insn)
         listings[f"{kind.value}/{name}"] = tuple(listing)
-    return stub_addrs, listings, truths
+    return listings, truths
 
 
 def _write_cells(layout, spec, placed, rng) -> list[PointerHookTruth]:
@@ -761,7 +745,7 @@ def _write_cells(layout, spec, placed, rng) -> list[PointerHookTruth]:
     truths = []
     for hook in spec.pointer_hooks:
         addr = placed[hook.target].reserve_cell()
-        layout.write(addr, b"".join(_benign_body(rng, AUX_CELL_SIZE)))
+        layout.write(addr, b"".join(_benign_body(rng)))
         index = hook.table.services.index(hook.service)
         truths.append(PointerHookTruth(hook.table, hook.service, index, addr, hook.target))
     return truths

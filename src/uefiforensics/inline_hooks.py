@@ -311,7 +311,7 @@ def detect_inline_hooks(
     dump: MemoryDump,
     table: ServiceTable,
     image_map: ImageMap,
-    baseline: OwnershipBaseline | None = None,
+    baseline: OwnershipBaseline,
     max_depth: int = DEFAULT_MAX_DEPTH,
     window: int = DEFAULT_PROLOGUE_WINDOW,
 ) -> list[InlineHookFinding]:
@@ -323,11 +323,10 @@ def detect_inline_hooks(
     statically resolved (``indeterminate``). Chains that remain in-image
     through the depth limit are considered benign.
 
-    When the function address resolves to no loaded image, the table
-    baseline (if given) stands in as the expected range; with neither, the
-    entry is skipped here because the pointer detector already owns it.
-    A ``max_depth`` or ``window`` that ``check_limit`` refuses raises
-    ``ValueError`` before any sweep.
+    A service's owner is the loaded image holding its function address, or
+    the table's ``baseline`` image when none does (a pointer the pointer
+    detector already flags). A ``max_depth`` or ``window`` that
+    ``check_limit`` refuses raises ``ValueError`` before any sweep.
     """
     check_limit("max_depth", max_depth, MAX_DEPTH_LIMIT)
     check_limit("window", window, PROLOGUE_WINDOW_LIMIT)
@@ -340,11 +339,7 @@ def detect_inline_hooks(
     for entry in table.entries:
         if entry.pointer == 0:
             continue
-        owner = image_map.resolve_owner(entry.pointer)
-        if owner is None and baseline is not None:
-            owner = baseline.image
-        if owner is None:
-            continue
+        owner = image_map.resolve_owner(entry.pointer) or baseline.image
 
         # Breadth-first over a worklist that grows as it is read: each address
         # is followed once, on its shortest chain; each escape is reported once.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -72,15 +72,15 @@ class AnalysisOptions:
             raise ValueError(f"carve_dir must be None or a non-empty path, got {self.carve_dir!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableReport:
     table: ServiceTable
     crc: CrcStatus
     baseline: OwnershipBaseline | None
-    baseline_error: str | None = None
+    baseline_error: str | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisReport:
     dump: MemoryDump
     sha256: str  # content_sha256 of the dump
@@ -89,8 +89,8 @@ class AnalysisReport:
     pointer_findings: list[PointerHookFinding]
     inline_findings: list[InlineHookFinding]
     anomalies: list[Anomaly]
-    carved: list[CarvedImage] = field(default_factory=list)
-    carve_dir: str | None = None
+    carved: list[CarvedImage]
+    carve_dir: str | None
 
     @property
     def has_findings(self) -> bool:
@@ -183,21 +183,18 @@ def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> An
         tables, pointer_findings, inline_findings, anomalies = _inspect_tables(
             dump, image_map, override, options
         )
-        report = AnalysisReport(
+        carved, carve_anomalies = carving.result() if carving is not None else ([], [])
+        return AnalysisReport(
             dump=dump,
             sha256=digest.result(),
             tables=tables,
             image_map=image_map,
             pointer_findings=pointer_findings,
             inline_findings=inline_findings,
-            anomalies=anomalies,
+            anomalies=anomalies + carve_anomalies,
+            carved=carved,
+            carve_dir=options.carve_dir,
         )
-        if carving is not None:
-            carved, carve_anomalies = carving.result()
-            report.carved = carved
-            report.carve_dir = options.carve_dir
-            report.anomalies.extend(carve_anomalies)
-    return report
 
 
 def _image_ref(record: LoadedImageRecord | None) -> dict | None:

@@ -72,6 +72,20 @@ def test_name_collision_gets_suffix(tmp_path):
     assert [c.output_name for c in carved] == ["same.efi", "same_1.efi"]
 
 
+def test_third_name_collision_takes_the_next_free_suffix(tmp_path):
+    pe = bytes(build_minimal_pe(0x1000))
+    buf = bytearray(0x8000)
+    bases = (0x1000, 0x3000, 0x5000)
+    for base in bases:
+        buf[base:base + len(pe)] = pe
+    dump = MemoryDump.from_regions([(0, bytes(buf))])
+    paths = ("\\EFI\\same.efi", "\\EFI\\same_1.efi", "\\EFI\\same.efi")
+    records = [record(dump, i, base, 0x1000, path)
+               for i, (base, path) in enumerate(zip(bases, paths))]
+    carved, _ = carve_images(dump, ImageMap(records), tmp_path)
+    assert [c.output_name for c in carved] == ["same.efi", "same_1.efi", "same_2.efi"]
+
+
 def test_path_separators_sanitized(tmp_path):
     pe = bytes(build_minimal_pe(0x1000))
     buf = bytearray(0x3000)

@@ -1,11 +1,12 @@
 import json
+import logging
 import struct
 import threading
 from dataclasses import replace
 
 import pytest
 
-from uefiforensics.cli import main
+from uefiforensics.cli import LOG_ENV_VAR, _configure_logging, main
 from uefiforensics.carver import MANIFEST_NAME
 from uefiforensics.forge import COMPACT_GEOMETRY, build_minimal_pe, build_scenario, scenario_by_name
 from uefiforensics.image_registry import LDRI_RECORD, LDRI_SIGNATURE, MAX_PATH_CHARS
@@ -131,6 +132,40 @@ def test_tables_command(fixture_dir, capsys):
     assert rc == 0
     assert "[boot services table @" in out
     assert "LoadImage" in out and "ProcessFirmwareVolume" in out
+
+
+def test_tables_prints_anomalies(tmp_path, capsys):
+    blob = tmp_path / "blank.dump"
+    blob.write_bytes(bytes(0x1000))
+    rc = main(["tables", str(blob)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"anomaly: table_missing: no valid {kind} table found" for kind in ("boot", "runtime", "dxe")
+    ]
+
+
+def test_missing_map_exit_1(fixture_dir, tmp_path, capsys):
+    rc = main(["tables", str(fixture_dir / "clean.dump"), "--map", str(tmp_path / "nope.json")])
+    assert rc == 1
+    assert "does not exist" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["forge", "--scenario", "clean"], ["forge", "--out", "x"]])
+def test_forge_without_scenario_or_out_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert "forge requires --scenario and --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, level", [
+    ("debug", logging.DEBUG), ("VERBOSE", logging.WARNING), ("basic_format", logging.WARNING),
+])
+def test_log_level_from_environment_falls_back_to_warning(monkeypatch, value, level):
+    # basicConfig does nothing once the root logger has handlers: record its level.
+    seen = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: seen.append(kw["level"]))
+    monkeypatch.setenv(LOG_ENV_VAR, value)
+    _configure_logging()
+    assert seen == [level]
 
 
 def test_forge_command_and_analyze_round_trip(tmp_path, capsys):

@@ -169,6 +169,33 @@ def test_sidecar_bool_field_rejected(tmp_path, value):
         load_dump(path, map_path)
 
 
+@pytest.mark.parametrize("records, message", [
+    ({}, "non-empty JSON array"),
+    ([], "non-empty JSON array"),
+    ([1], "records must be objects"),
+])
+def test_sidecar_of_no_region_objects_rejected(tmp_path, records, message):
+    path, map_path = write_dump(tmp_path, bytes(0x20), records)
+    with pytest.raises(DumpLoadError, match=message):
+        load_dump(path, map_path)
+
+
+def test_missing_explicit_sidecar_rejected(tmp_path):
+    path, _ = write_dump(tmp_path, bytes(0x20))
+    with pytest.raises(DumpLoadError, match="does not exist"):
+        load_dump(path, tmp_path / "nope.map.json")
+
+
+def test_dump_without_regions_rejected():
+    with pytest.raises(DumpLoadError, match="no regions"):
+        MemoryDump(b"x", [])
+
+
+def test_repr_names_span_regions_and_source():
+    dump = MemoryDump.from_regions([(0, b"ab"), (0x10, b"cd")])
+    assert repr(dump) == "MemoryDump(span=0x12, regions=2, source='<memory>')"
+
+
 SIDECAR_FILE_SIZE = 0x200
 VALID_SIDECAR = (
     {"phys_start": 0x0, "file_offset": 0x0, "length": 0x100},

@@ -7,12 +7,15 @@ import pytest
 
 from uefiforensics.dump_model import MemoryDump, load_dump
 from uefiforensics.forge import (
+    _STUB_POOL,
+    AUX_CELL_SIZE,
     CHAIN_AREA_OFFSET,
     CHAIN_SITE_SIZE,
     COMPACT_GEOMETRY,
     CORE_GUID,
     DECOY_SIG_OFFSET,
     DEFAULT_GEOMETRY,
+    EFIGUARD_PATH,
     LDRI_CELL_SIZE,
     MOONBOUNCE_PAYLOAD_BASE,
     STUB_AREA_OFFSET,
@@ -241,6 +244,41 @@ def test_negative_cell_offset_rejected():
         build_scenario(compact_spec(inline_hooks=(hook,)))
 
 
+X_EFI = ImageSpec(path="\\EFI\\x.efi", size=0x2000)
+COMPACT_CORE = ImageSpec(guid=CORE_GUID, size=0x8000, role="core")
+
+
+def x_hook(**kwargs):
+    return (InlineHookSpec(service="CreateEventEx", payload=X_EFI.path, **kwargs),)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"images": (COMPACT_CORE, X_EFI, X_EFI)}, "image keys must be unique"),
+    ({"crc_policy": "bogus"}, "unknown crc policy 'bogus'"),
+    ({"images": (COMPACT_CORE, ImageSpec())}, "image needs a GUID or a file path"),
+    ({"images": (COMPACT_CORE, replace(X_EFI, role="bogus"))}, "unknown image role 'bogus'"),
+    ({"images": (COMPACT_CORE, ImageSpec(path="\\" + "a" * 40))}, "longer than 35 chars"),
+    ({"images": (COMPACT_CORE, replace(X_EFI, size=0x800))}, "at least 4 KiB"),
+    ({"images": (replace(COMPACT_CORE, size=0x3000), X_EFI)}, "core image too small"),
+    ({"inline_hooks": x_hook(style="bogus")}, "unknown inline hook style 'bogus'"),
+    ({"inline_hooks": x_hook(depth=0)}, "inline hook depth must be 1..4"),
+    ({"inline_hooks": x_hook(depth=5)}, "inline hook depth must be 1..4"),
+    ({"null_services": ((TableKind.BOOT, "NoSuch"),)}, "unknown null service 'NoSuch'"),
+    ({"images": (COMPACT_CORE, replace(X_EFI, base=0x40_0000),
+                 ImageSpec(path="\\EFI\\y.efi", size=0x2000, base=0x40_1000))},
+     "layout collision: image '.*y.efi' \\[0x401000,0x403000\\) overlaps"),
+    ({"images": (COMPACT_CORE, replace(X_EFI, base=0x800))},
+     "allocations collide with the low memory region"),
+    ({"images": (COMPACT_CORE, replace(X_EFI, base=0x1_0010_0000)), "inline_hooks": x_hook()},
+     "rel32 displacement from 0x101ac0 to 0x100100600 out of range"),
+], ids=["duplicate-key", "crc-policy", "no-identity", "role", "long-path", "small-image",
+        "small-core", "style", "depth-0", "depth-5", "null-service", "pinned-overlap",
+        "pinned-low", "rel32-range"])
+def test_validation_rejects_with_its_reason(fields, message):
+    with pytest.raises(ForgeError, match=message):
+        build_scenario(compact_spec(**fields))
+
+
 def test_pinned_base_gets_its_own_region(tmp_path):
     # moonbounce pins its payload at 0x3FAD0000, far above the compact
     # geometry: the file carries the low region, the compact cluster and
@@ -303,6 +341,14 @@ def test_stub_and_chain_areas_hold_every_service_hooked_at_depth_four():
             == {(h.service, h.payload_addr) for h in scenario.truth.inline_hooks})
 
 
+def test_benign_body_fits_behind_a_call_hook_and_in_a_cell():
+    # A body is at most five pool instructions and a ret; it follows a
+    # 5-byte call rel32 in a stub, or fills a pointer hook's target cell.
+    longest_body = 5 * max(map(len, _STUB_POOL)) + 1
+    assert longest_body <= STUB_SIZE - 5
+    assert longest_body <= AUX_CELL_SIZE
+
+
 @pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY, COMPACT_GEOMETRY],
                          ids=["default", "compact"])
 def test_truth_structures_lie_inside_one_region(geometry):
@@ -359,6 +405,13 @@ def test_master_oracle_loop_all_builtins(forged):
             for f in report.inline_findings
         }
         assert got_inline == want_inline, spec.name
+
+
+def test_image_by_key_of_unknown_key_is_key_error(forged):
+    truth = forged("clean").truth
+    assert truth.image_by_key(CORE_GUID).role == "core"
+    with pytest.raises(KeyError):
+        truth.image_by_key(EFIGUARD_PATH)
 
 
 def test_truth_json_serializable(forged):

@@ -106,6 +106,28 @@ def test_record_missing_mz_rejected():
     assert any("MZ" in a.detail for a in image_map.anomalies)
 
 
+@pytest.mark.parametrize("fields, path, reason", [
+    ({"size": 0, "path_ptr": 0x1800}, "a\x00", "image_size is zero"),
+    ({"guid_ptr": 0x1FF8}, "", "GUID pointer 0x1ff8 outside span"),
+    ({"path_ptr": 0x2000}, "", "path pointer 0x2000 outside span"),
+    ({"path_ptr": 0x1800}, "a" * 0x400, "unterminated path string"),
+    ({"path_ptr": 0x1800}, "\ud800a\x00", "illegal UTF-16 surrogate"),
+])
+def test_crafted_record_rejected_with_its_reason(fields, path, reason):
+    # One record at 0x1000 for an MZ image at 0x100, in a 0x2000-byte span.
+    buf = bytearray(0x2000)
+    buf[0x100:0x102] = b"MZ"
+    raw = path.encode("utf-16-le", "surrogatepass")
+    buf[0x1800:0x1800 + len(raw)] = raw
+    fields = {"base": 0x100, "size": 0x200, **fields}
+    buf[0x1000:0x1000 + 40] = make_raw_record(**fields)
+    image_map = scan_loaded_images(MemoryDump.from_regions([(0, bytes(buf))]))
+    assert len(image_map) == 0
+    (anomaly,) = image_map.anomalies
+    assert anomaly.kind == "ldri_candidate_rejected" and anomaly.addr == 0x1000
+    assert reason in anomaly.detail
+
+
 def test_resolve_owner_bounds(forged):
     scenario = forged("clean")
     image_map = scan_loaded_images(scenario.dump)

@@ -249,7 +249,8 @@ def test_detect_inline_hooks_refuses_what_analysis_options_refuses(forged, field
     dump = forged("clean").dump
     table, image_map = raise_tpl_only(dump)
     with pytest.raises(ValueError, match=field):
-        detect_inline_hooks(dump, table, image_map, **{field: value})
+        detect_inline_hooks(dump, table, image_map, infer_baseline(table, image_map),
+                            **{field: value})
 
 
 def test_scan_resolves_rip_relative_slot_through_dump():
@@ -439,7 +440,7 @@ def test_in_image_transfers_alone_are_clean():
     record = LoadedImageRecord(0, 0x1000, 0x1000, ImageIdentity(file_path="\\a.efi"), NOT_PE)
     image_map = ImageMap([record])
     table = make_synthetic_table(0x1100)
-    assert detect_inline_hooks(dump, table, image_map) == []
+    assert detect_inline_hooks(dump, table, image_map, infer_baseline(table, image_map)) == []
 
 
 def test_escape_from_in_image_site_detected():
@@ -451,7 +452,8 @@ def test_escape_from_in_image_site_detected():
     buf[site:site + 5] = b"\xE9" + struct.pack("<i", 0x3000 - (site + 5))
     dump = MemoryDump.from_regions([(0, bytes(buf))])
     record = LoadedImageRecord(0, 0x1000, 0x1000, ImageIdentity(file_path="\\a.efi"), NOT_PE)
-    findings = detect_inline_hooks(dump, make_synthetic_table(0x1100), ImageMap([record]))
+    table, image_map = make_synthetic_table(0x1100), ImageMap([record])
+    findings = detect_inline_hooks(dump, table, image_map, infer_baseline(table, image_map))
     assert len(findings) == 1
     assert len(findings[0].chain) == 2
     assert findings[0].final_target == 0x3000
@@ -546,7 +548,8 @@ def test_ladder_sweeps_each_address_once(forged, monkeypatch, max_depth):
     dump = patch_dump(scenario.dump, function_addr, LADDER)
     table, image_map = raise_tpl_only(dump)
     swept = record_sweeps(monkeypatch)
-    assert detect_inline_hooks(dump, table, image_map, max_depth=max_depth) == []
+    baseline = infer_baseline(table, image_map)
+    assert detect_inline_hooks(dump, table, image_map, baseline, max_depth=max_depth) == []
     assert len(swept) == 17  # the entry and the 16 je targets
     swept.clear()
     assert analyze_dump(dump, AnalysisOptions(max_depth=max_depth)).inline_findings == []
@@ -563,7 +566,8 @@ def test_escape_behind_ladder_reported_once(forged, max_depth):
     code = LADDER + b"\xE9" + struct.pack("<i", payload - (jmp_at + 5))
     dump = patch_dump(scenario.dump, function_addr, code)
     table, image_map = raise_tpl_only(dump)
-    (finding,) = detect_inline_hooks(dump, table, image_map, max_depth=max_depth)
+    baseline = infer_baseline(table, image_map)
+    (finding,) = detect_inline_hooks(dump, table, image_map, baseline, max_depth=max_depth)
     assert len(finding.chain) == 2
     assert finding.hook_addr == function_addr
     assert finding.chain[-1].at == jmp_at and finding.final_target == payload
@@ -584,7 +588,8 @@ def test_ladder_decodes_each_address_once(forged, monkeypatch, max_depth):
         return decode(window, at)
 
     monkeypatch.setattr(inline_hooks, "decode_instruction", recording)
-    assert detect_inline_hooks(dump, table, image_map, max_depth=max_depth) == []
+    baseline = infer_baseline(table, image_map)
+    assert detect_inline_hooks(dump, table, image_map, baseline, max_depth=max_depth) == []
     assert function_addr + len(LADDER) - 2 in decoded
     assert len(decoded) == len(set(decoded))
 
@@ -606,7 +611,8 @@ def test_services_share_the_sweep_of_a_common_site(monkeypatch):
         entries=(ServiceEntry(0, "RaiseTPL", 0x1100), ServiceEntry(1, "RestoreTPL", 0x1200)),
     )
     swept = record_sweeps(monkeypatch)
-    findings = detect_inline_hooks(dump, table, ImageMap([record]))
+    image_map = ImageMap([record])
+    findings = detect_inline_hooks(dump, table, image_map, infer_baseline(table, image_map))
     assert swept == [0x1100, helper, 0x1200]
     assert [(f.service_name, f.hook_addr, f.chain[-1].at) for f in findings] == [
         ("RaiseTPL", 0x1100, helper),

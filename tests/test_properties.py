@@ -73,11 +73,16 @@ def test_read_bytes_equals_manual_reassembly(pieces):
     assert loaded.read_bytes(0, span) == bytes(flat)
 
 
+SIGNATURES = [b"ldri", b"SERV", b"\xFF\xFF\xFF\xFF", b"BOOTSERV"]
+
+# Mostly 0: a match crosses a region edge only into an adjacent region.
+gap_strategy = st.just(0) | st.integers(0, 0x300)
+
 # Pieces dense in probe bytes (runs of ``l``, ``S`` and 01, among whole
 # signatures), so that a scan's probe often passes ``LEAD_HITS`` in one region.
 probe_dense_strategy = st.lists(
     st.tuples(
-        st.integers(0, 0x300),
+        gap_strategy,
         st.lists(
             st.builds(lambda b, n: b * n, st.sampled_from([b"l", b"S", b"\x01"]), st.integers(1, 80))
             | st.sampled_from([b"\x00", b"ldri", b"SERV", b"BOOTSERV", b"\x00\x00\x00\x01"]),
@@ -90,9 +95,33 @@ probe_dense_strategy = st.lists(
 )
 
 
+@st.composite
+def cut_signatures_strategy(draw):
+    """Pieces cut from one buffer of random bytes and planted signatures.
+
+    Most cuts fall inside a planted signature, so that its bytes straddle a
+    region edge, and many of those leave just one of its bytes on one side.
+    """
+    segments = draw(st.lists(st.binary(min_size=1, max_size=0x40) | st.sampled_from(SIGNATURES),
+                             min_size=1, max_size=8))
+    buf = b"".join(segments)
+    inside, one_byte_in, at = [], [], 0
+    for segment in segments:
+        if segment in SIGNATURES:
+            inside += range(at + 1, at + len(segment))
+            one_byte_in += [at + 1, at + len(segment) - 1]
+        at += len(segment)
+    cut = st.integers(0, len(buf))
+    if inside:
+        cut = st.sampled_from(one_byte_in) | st.sampled_from(inside) | cut
+    cuts = set(draw(st.lists(cut, max_size=3))) - {0, len(buf)}
+    bounds = [0, *sorted(cuts), len(buf)]
+    return [(draw(gap_strategy), buf[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 @given(
-    regions_strategy | probe_dense_strategy,
-    st.sampled_from([b"ldri", b"SERV", b"\xFF\xFF\xFF\xFF", b"BOOTSERV"]),
+    probe_dense_strategy | cut_signatures_strategy(),
+    st.sampled_from(SIGNATURES),
 )
 @settings(max_examples=200)
 def test_find_signature_equals_brute_force(pieces, sig):

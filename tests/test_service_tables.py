@@ -16,6 +16,7 @@ from uefiforensics.service_tables import (
     parse_table,
     verify_table_integrity,
 )
+from uefiforensics.report import EXIT_CLEAN, analyze_dump, render_text
 
 from helpers import crc32_reference
 
@@ -117,11 +118,41 @@ def test_header_size_sanity_bounds():
         parse_table(dump, TableKind.BOOT, 0x200)
 
 
+def test_parse_table_with_the_wrong_kind_is_error():
+    dump = dump_with(table_bytes(TableKind.BOOT, {}))
+    with pytest.raises(TableParseError, match="signature mismatch"):
+        parse_table(dump, TableKind.RUNTIME, 0x200)
+
+
+def test_entry_of_unknown_service_is_key_error():
+    table = parse_table(dump_with(table_bytes(TableKind.DXE, {})), TableKind.DXE, 0x200)
+    with pytest.raises(KeyError):
+        table.entry("LoadImage")
+
+
+def test_signature_in_last_bytes_of_span_rejected():
+    # BOOTSERV ends the span: no room for the rest of its header.
+    dump = dump_with(TableKind.BOOT.signature, at=0x1000 - 8, span=0x1000)
+    tables, anomalies = locate_tables(dump)
+    assert tables == []
+    (rejected,) = [a for a in anomalies if a.kind == "table_candidate_rejected"]
+    assert rejected.addr == 0xFF8
+    assert rejected.detail == "header at 0xff8 extends past dump span"
+    assert analyze_dump(dump).exit_code == EXIT_CLEAN
+
+
 def test_header_size_24_falls_back_to_canonical():
     dump = dump_with(table_bytes(TableKind.BOOT, {}, header_size=24))
     table = parse_table(dump, TableKind.BOOT, 0x200)
     assert len(table.entries) == 44
     assert "header_size_excludes_entries" in table.flags
+
+
+def test_table_flags_rendered_in_its_block():
+    dump = dump_with(table_bytes(TableKind.RUNTIME, {}, header_size=24))
+    lines = render_text(analyze_dump(dump)).splitlines()
+    block = lines.index("[runtime services table @ 0x200]")
+    assert lines[block + 4] == "  flags: header_size_excludes_entries"
 
 
 def test_short_header_size_truncates_entries():
