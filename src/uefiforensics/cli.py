@@ -97,14 +97,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_analyze(args) -> int:
-    try:  # before the dump is opened, so a bad flag is named even for a missing dump
-        options = AnalysisOptions(baseline_guid=args.baseline_guid,
-                                  prologue_window=args.prologue_window,
-                                  max_depth=args.max_depth, carve_dir=args.carve_dir)
+def _options(**fields) -> AnalysisOptions:
+    """A command's options from ``AnalysisOptions``, asked for before the dump is opened
+    so that a bad flag is named even for a missing dump; a refused option exits 1."""
+    try:
+        return AnalysisOptions(**fields)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR) from None
+
+
+def cmd_analyze(args) -> int:
+    options = _options(baseline_guid=args.baseline_guid, prologue_window=args.prologue_window,
+                       max_depth=args.max_depth, carve_dir=args.carve_dir)
     dump = load_dump(args.dump, args.map_path)
     report = analyze_dump(dump, options)
     sys.stdout.write(render_text(report))
@@ -116,16 +121,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_carve(args) -> int:
+    out_dir = _options(carve_dir=args.out_dir).carve_dir
     dump = load_dump(args.dump, args.map_path)
     image_map = scan_loaded_images(dump)
-    carved, anomalies = carve_images(dump, image_map, args.out_dir)
+    carved, anomalies = carve_images(dump, image_map, out_dir)
     for image in carved:
         flag = "" if image.pe_valid else "  [invalid PE]"
         print(f"{image.output_name}  base={image.image_base:#x} size={image.image_size:#x} "
               f"sha256={image.sha256}{flag}")
     for anomaly in anomalies:
         print(f"anomaly: {anomaly}")
-    print(f"carved {len(carved)} image(s) -> {args.out_dir}")
+    print(f"carved {len(carved)} image(s) -> {out_dir}")
     return EXIT_CLEAN
 
 
@@ -147,13 +153,9 @@ def cmd_tables(args) -> int:
 def cmd_forge(args) -> int:
     if args.list:
         for spec in builtin_scenarios():
-            summary = []
-            if spec.pointer_hooks:
-                summary.append(f"{len(spec.pointer_hooks)} pointer hook(s)")
-            if spec.inline_hooks:
-                summary.append(f"{len(spec.inline_hooks)} inline hook(s)")
-            if spec.decoys:
-                summary.append(f"{len(spec.decoys)} decoy(s)")
+            summary = [f"{len(items)} {label}(s)" for items, label in (
+                (spec.pointer_hooks, "pointer hook"), (spec.inline_hooks, "inline hook"),
+                (spec.decoys, "decoy")) if items]
             print(f"{spec.name:<16} {', '.join(summary) or 'clean'}")
         return EXIT_CLEAN
     if not args.scenario or not args.out:

@@ -92,9 +92,6 @@ class MemoryDump:
         """``data``: the file bytes, kept as given: ``bytes``, a ``bytearray`` (handed
         over: the caller must not write to it afterwards) or a read-only ``mmap``;
         ``regions``: Regions in it."""
-        self._data = data
-        self._view = memoryview(data).toreadonly()
-        self._droppable = isinstance(data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")
         self._regions = tuple(sorted(regions, key=lambda r: r.phys_start))
         if not self._regions:
             raise DumpLoadError("dump has no regions")
@@ -102,11 +99,15 @@ class MemoryDump:
         for region in self._regions:
             if region.length <= 0:
                 raise DumpLoadError(f"region at {region.phys_start:#x} has non-positive length")
-            if region.file_offset < 0 or region.file_offset + region.length > len(self._data):
+            if region.file_offset < 0 or region.file_offset + region.length > len(data):
                 raise DumpLoadError(f"region at {region.phys_start:#x} maps outside the file")
             if region.phys_start < prev_end:
                 raise DumpLoadError(f"regions overlap at {region.phys_start:#x}")
             prev_end = region.phys_end
+        # Held only once the regions are accepted: a refused mapping can be closed.
+        self._data = data
+        self._view = memoryview(data).toreadonly()
+        self._droppable = isinstance(data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")
         self._starts = [r.phys_start for r in self._regions]
         self.total_span: int = self._regions[-1].phys_end
         self.source_path = str(source_path)
@@ -185,7 +186,7 @@ class MemoryDump:
     def _check_read(self, addr: PhysAddr, length: int) -> None:
         if length <= 0:
             raise ValueError("read length must be positive")
-        if addr < 0 or addr + length > self.total_span:
+        if not self.in_span(addr, length):
             raise OutOfBoundsRead(
                 f"read [{addr:#x}, {addr + length:#x}) outside span {self.total_span:#x}"
             )
@@ -334,12 +335,24 @@ def _load_sidecar(map_path: Path) -> list[Region]:
 def load_dump(path, map_path=None) -> MemoryDump:
     """Load a raw dump file, applying a region-map sidecar when present.
 
-    The file is mapped read-only, not read. Without a sidecar it is one
-    region at physical address 0. When ``map_path`` is not given,
-    ``<stem>.map.json`` next to the dump (and ``<path>.map.json``) are
-    probed automatically.
+    The file is mapped read-only, not read, and a dump it refuses leaves
+    no mapping. Without a sidecar it is one region at physical address 0.
+    When ``map_path`` is not given, ``<stem>.map.json`` next to the dump
+    (and ``<path>.map.json``) are probed automatically.
     """
     path = Path(path)
+    if map_path is not None:
+        map_path = Path(map_path)
+        if not map_path.is_file():
+            raise DumpLoadError(f"sidecar {map_path} does not exist")
+    else:
+        for candidate in (path.with_suffix(".map.json"), Path(str(path) + ".map.json")):
+            if candidate.is_file():
+                map_path = candidate
+                break
+    if map_path is not None:
+        regions = _load_sidecar(map_path)
+        logger.info("loaded sidecar %s (%d regions)", map_path, len(regions))
     try:
         with open(path, "rb") as fh:
             if os.fstat(fh.fileno()).st_size == 0:
@@ -347,23 +360,10 @@ def load_dump(path, map_path=None) -> MemoryDump:
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as exc:
         raise DumpLoadError(f"cannot read dump {path}: {exc}") from exc
-
-    if map_path is not None:
-        map_path = Path(map_path)
-        if not map_path.is_file():
-            raise DumpLoadError(f"sidecar {map_path} does not exist")
-    else:
-        for candidate in (path.with_suffix(".map.json"), Path(str(path) + ".map.json")):
-            if candidate != path and candidate.is_file():
-                map_path = candidate
-                break
-
     if map_path is None:
         regions = [Region(phys_start=0, file_offset=0, length=len(data))]
-    else:
-        regions = _load_sidecar(map_path)
-        logger.info("loaded sidecar %s (%d regions)", map_path, len(regions))
     try:
         return MemoryDump(data, regions, source_path=str(path))
     except DumpLoadError as exc:
+        data.close()
         raise DumpLoadError(f"sidecar {map_path}: {exc}") from None

@@ -92,19 +92,14 @@ class ImageMap:
         self.records: tuple[LoadedImageRecord, ...] = tuple(
             sorted(records, key=lambda r: (r.image_base, r.record_addr))
         )
-        self._bases = [r.image_base for r in self.records]
         # Running maximum of image_end: non-decreasing, so bisectable.
         self._max_ends = list(accumulate((r.image_end for r in self.records), max))
         anomalies = list(anomalies)
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur.image_base < prev.image_end:
-                anomalies.append(
-                    Anomaly(
-                        "image_overlap",
-                        cur.image_base,
-                        f"{cur.identity.label} overlaps {prev.identity.label}",
-                    )
-                )
+        for i, cur in enumerate(self.records):
+            owner = self._owner(cur.image_base, i)
+            if owner is not None:
+                anomalies.append(Anomaly("image_overlap", cur.image_base,
+                                         f"{cur.identity.label} overlaps {owner.identity.label}"))
         self.anomalies: tuple[Anomaly, ...] = tuple(anomalies)
 
     def __len__(self) -> int:
@@ -112,9 +107,13 @@ class ImageMap:
 
     def resolve_owner(self, addr: PhysAddr) -> LoadedImageRecord | None:
         """The owning record (lowest base when ranges overlap), or None."""
-        # Record j is the first to end past addr: it owns addr if any record does.
-        j = bisect_right(self._max_ends, addr)
-        return self.records[j] if j < bisect_right(self._bases, addr) else None
+        return self._owner(addr, len(self.records))
+
+    def _owner(self, addr: PhysAddr, hi: int) -> LoadedImageRecord | None:
+        """The first of ``records[:hi]`` to hold ``addr``, or None."""
+        # Record j is the first to end past addr: it holds addr if any record does.
+        j = bisect_right(self._max_ends, addr, 0, hi)
+        return self.records[j] if j < hi and self.records[j].image_base <= addr else None
 
     def by_guid(self, guid: str) -> LoadedImageRecord | None:
         """The record with GUID ``guid``, in any form ``normalize_guid`` reads, or None."""
@@ -160,7 +159,7 @@ def _parse_record(dump: MemoryDump, addr: PhysAddr) -> LoadedImageRecord:
 
     if image_size == 0:
         raise ValueError("image_size is zero")
-    if image_base + image_size > dump.total_span:
+    if not dump.in_span(image_base, image_size):
         raise ValueError(
             f"image range [{image_base:#x}, {image_base + image_size:#x}) exceeds dump span"
         )

@@ -45,6 +45,7 @@ from .service_tables import (
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
 EXIT_FINDINGS = 2
+_EXIT_CODES = {"clean": EXIT_CLEAN, "findings": EXIT_FINDINGS}  # by exit_classification
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,12 @@ class AnalysisReport:
     carve_dir: str | None
 
     @property
-    def has_findings(self) -> bool:
-        return bool(self.pointer_findings or self.inline_findings)
-
-    @property
     def exit_classification(self) -> str:
-        return "findings" if self.has_findings else "clean"
+        return "findings" if self.pointer_findings or self.inline_findings else "clean"
 
     @property
     def exit_code(self) -> int:
-        return EXIT_FINDINGS if self.has_findings else EXIT_CLEAN
+        return _EXIT_CODES[self.exit_classification]
 
 
 def _hx(value: int | None) -> str | None:

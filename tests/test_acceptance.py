@@ -12,6 +12,8 @@ import time
 from dataclasses import replace
 from random import Random
 
+import pytest
+
 from uefiforensics.carver import carve_images
 from uefiforensics.dump_model import load_dump
 from uefiforensics.forge import (
@@ -226,6 +228,7 @@ def test_c10_structural_laws_over_randomized_dumps():
           f"{total_inline} inline findings reproduced)")
 
 
+@pytest.mark.slow
 def test_c11_performance_envelope(tmp_path):
     spec = ScenarioSpec(
         name="big",

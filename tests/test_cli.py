@@ -318,6 +318,17 @@ def test_bad_option_named_before_the_dump_is_opened(tmp_path, capsys, flags, fie
     assert "missing.dump" not in err
 
 
+def test_carve_to_empty_dir_refused_before_the_dump_is_opened(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["carve", str(tmp_path / "missing.dump"), ""])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: carve_dir ")
+    assert "missing.dump" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["--version"]])
 def test_help_and_version_exit_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:

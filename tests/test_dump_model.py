@@ -186,6 +186,29 @@ def test_missing_explicit_sidecar_rejected(tmp_path):
         load_dump(path, tmp_path / "nope.map.json")
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_refused_dump_leaves_no_mapping(tmp_path):
+    # Each error is held, traceback and all, while the process's mappings are read.
+    sidecars = [
+        "not json",
+        [{"phys_start": 0, "file_offset": 0, "length": 0x1000}],  # past EOF
+        [{"phys_start": 0, "file_offset": 0, "length": 0x100},
+         {"phys_start": 0x80, "file_offset": 0x100, "length": 0x100}],  # overlapping
+    ]
+    errors, names = [], []
+    for i, sidecar in enumerate(sidecars):
+        path = tmp_path / f"refused{i}.dump"
+        path.write_bytes(bytes(0x200))
+        map_path = tmp_path / f"refused{i}.map.json"
+        map_path.write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
+        with pytest.raises(DumpLoadError) as exc:
+            load_dump(path, map_path)
+        errors.append(exc.value)
+        names.append(path.name)
+    maps = Path("/proc/self/maps").read_text()
+    assert [name for name in names if name in maps] == []
+
+
 def test_dump_without_regions_rejected():
     with pytest.raises(DumpLoadError, match="no regions"):
         MemoryDump(b"x", [])
@@ -469,6 +492,7 @@ def best_of_three(*fns) -> list[float]:
     return best
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("fill", [b"l", b"S", b"random"])
 def test_probe_scan_costs_no_more_than_plain_find_on_probe_dense_bytes(fill):
     # Every byte a probe byte, or one in 256: the probe scan must stay within

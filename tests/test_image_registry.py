@@ -1,7 +1,7 @@
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uefiforensics.dump_model import MemoryDump
 from uefiforensics.forge import COSMICSTRAND_GUID, EFIGUARD_PATH
@@ -179,6 +179,8 @@ overlapping_records = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(overlapping_records, st.lists(st.integers(0, 0x80), max_size=8))
+# A holds the bases of both B and C, although B, just before C, ends before C.
+@example([(0x1000, 0x10000, 0), (0x2000, 0x1000, 1), (0x4000, 0x1000, 2)], [])
 def test_resolve_owner_matches_brute_force_with_overlaps(ranges, extra_probes):
     image_map = ImageMap([
         LoadedImageRecord(record_addr, base, size, ImageIdentity(file_path=f"\\{i}.efi"), NOT_PE)
@@ -190,6 +192,14 @@ def test_resolve_owner_matches_brute_force_with_overlaps(ranges, extra_probes):
     for addr in probes:
         expected = brute_force_owner(image_map.records, addr)
         assert image_map.resolve_owner(addr) == expected, hex(addr)
+    # Every record whose base an earlier record holds is flagged, naming that record.
+    expected_overlaps = [
+        (rec.image_base, f"{rec.identity.label} overlaps {owner.identity.label}")
+        for i, rec in enumerate(image_map.records)
+        if (owner := brute_force_owner(image_map.records[:i], rec.image_base)) is not None
+    ]
+    assert [(an.addr, an.detail) for an in image_map.anomalies
+            if an.kind == "image_overlap"] == expected_overlaps
 
 
 def test_scan_determinism(forged):
