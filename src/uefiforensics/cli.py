@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .carver import carve_images
-from .dump_model import DumpLoadError, load_dump
+from .carver import carve_images, manifest_entry
+from .dump_model import DumpLoadError, load_dump, same_file
 from .forge import ForgeError, build_scenario, builtin_scenarios, scenario_by_name
 from .image_registry import scan_loaded_images
 from .inline_hooks import MAX_DEPTH_LIMIT, PROLOGUE_WINDOW_LIMIT
@@ -110,13 +110,14 @@ def _options(**fields) -> AnalysisOptions:
 def cmd_analyze(args) -> int:
     options = _options(baseline_guid=args.baseline_guid, prologue_window=args.prologue_window,
                        max_depth=args.max_depth, carve_dir=args.carve_dir)
-    dump = load_dump(args.dump, args.map_path)
-    report = analyze_dump(dump, options)
+    if args.json and any(same_file(args.json, p) for p in (args.dump, args.map_path) if p):
+        print(f"error: --json {args.json} would overwrite an input file", file=sys.stderr)
+        return EXIT_ERROR
+    report = analyze_dump(load_dump(args.dump, args.map_path), options)
     sys.stdout.write(render_text(report))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(to_json_dict(report), indent=2) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(to_json_dict(report), indent=2) + "\n"
+        Path(args.json).write_text(text, encoding="utf-8")
     return report.exit_code
 
 
@@ -125,10 +126,9 @@ def cmd_carve(args) -> int:
     dump = load_dump(args.dump, args.map_path)
     image_map = scan_loaded_images(dump)
     carved, anomalies = carve_images(dump, image_map, out_dir)
-    for image in carved:
-        flag = "" if image.pe_valid else "  [invalid PE]"
-        print(f"{image.output_name}  base={image.image_base:#x} size={image.image_size:#x} "
-              f"sha256={image.sha256}{flag}")
+    for image in map(manifest_entry, carved):  # as carve_manifest.json holds them
+        print(f"{image['file']}  base={image['image_base']} size={image['image_size']:#x} "
+              f"sha256={image['sha256']}{'' if image['pe_valid'] else '  [invalid PE]'}")
     for anomaly in anomalies:
         print(f"anomaly: {anomaly}")
     print(f"carved {len(carved)} image(s) -> {out_dir}")

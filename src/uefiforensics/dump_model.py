@@ -75,6 +75,14 @@ class Anomaly:
         return f"{self.kind}{where}: {self.detail}"
 
 
+def same_file(path, other) -> bool:
+    """Whether two paths name one file; a missing file is not the same file."""
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return False
+
+
 class MemoryDump:
     """Immutable view of a raw physical memory dump.
 
@@ -137,11 +145,7 @@ class MemoryDump:
         """
         if isinstance(self._data, mmap.mmap):
             for target in (dump_path, map_path):
-                try:
-                    same = os.path.samefile(target, self.source_path)
-                except OSError:  # either file is missing: not the same file
-                    same = False
-                if same:
+                if same_file(target, self.source_path):
                     raise ValueError(f"{target} is the file this dump maps")
         with open(dump_path, "wb") as fh:  # one window at a time, like the bulk passes
             for off in range(0, len(self._data), WINDOW):

@@ -1,10 +1,10 @@
 """Analysis orchestration and deterministic report assembly.
 
 Runs the full pipeline — table parsing, image registry, pointer and inline
-hook detection, optional carving — and renders the result as stable JSON
-(fixed key order, lowercase hex addresses, sorted findings) and as a
-human-readable text block per table. Wall-clock time lives only in
-``meta.generated_at`` so the rest of the report is byte-reproducible.
+hook detection, optional carving — and states the result once, as the stable
+``to_json_dict`` document (fixed key order, lowercase hex addresses, sorted
+findings). The text report is a view of that document and reads nothing else.
+Wall-clock time lives only in ``meta.generated_at``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,13 @@ from datetime import datetime, timezone
 from . import __version__
 from .carver import CarvedImage, carve_images, manifest_entry
 from .dump_model import Anomaly, MemoryDump
-from .image_registry import ImageMap, LoadedImageRecord, normalize_guid, scan_loaded_images
+from .image_registry import (
+    ImageIdentity,
+    ImageMap,
+    LoadedImageRecord,
+    normalize_guid,
+    scan_loaded_images,
+)
 from .inline_hooks import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_PROLOGUE_WINDOW,
@@ -77,8 +83,7 @@ class AnalysisOptions:
 class TableReport:
     table: ServiceTable
     crc: CrcStatus
-    baseline: OwnershipBaseline | None
-    baseline_error: str | None
+    baseline: OwnershipBaseline | None  # None: a no_baseline anomaly at the table says why
 
 
 @dataclass(frozen=True)
@@ -132,13 +137,11 @@ def _inspect_tables(
             detail = f"header_size {table.header.header_size} runs past the dump span"
             anomalies.append(Anomaly("crc_unverifiable", table.table_addr, detail))
         baseline = None
-        baseline_error = None
         try:
             baseline = infer_baseline(table, image_map, override)
         except BaselineError as exc:
-            baseline_error = str(exc)
             anomalies.append(Anomaly("no_baseline", table.table_addr, str(exc)))
-        table_reports.append(TableReport(table, crc, baseline, baseline_error))
+        table_reports.append(TableReport(table, crc, baseline))
         if baseline is None:
             continue
         pointer_findings.extend(detect_pointer_hooks(table, image_map, baseline))
@@ -206,9 +209,9 @@ def _image_ref(record: LoadedImageRecord | None) -> dict | None:
 
 
 def to_json_dict(report: AnalysisReport) -> dict:
-    """Stable JSON form; only ``meta.generated_at`` varies between runs."""
+    """The report's one document, stable JSON; only ``meta.generated_at`` varies between runs."""
     dump = report.dump
-    doc = {
+    return {
         "schema": 1,
         "tool_version": __version__,
         "dump": {
@@ -300,67 +303,59 @@ def to_json_dict(report: AnalysisReport) -> dict:
         "exit_classification": report.exit_classification,
         "meta": {"generated_at": datetime.now(timezone.utc).isoformat()},
     }
-    return doc
 
 
-def _describe_image(record: LoadedImageRecord | None) -> str:
-    if record is None:
+def _describe_image(ref: dict | None) -> str:
+    if ref is None:
         return "<no loaded image>"
-    return f"{record.identity.label} [{record.image_base:#x}..{record.image_end:#x})"
+    label = ImageIdentity(ref["guid"], ref["file_path"]).label
+    return f"{label} [{ref['base']}..{int(ref['base'], 16) + ref['size']:#x})"
 
 
 def render_text(report: AnalysisReport) -> str:
-    """Figure-style text report: one block per table, then findings."""
-    lines = []
-    dump = report.dump
-    lines.append(f"dump {dump.source_path}")
-    lines.append(
-        f"  span {dump.total_span:#x} in {len(dump.regions)} region(s), "
-        f"{len(report.image_map)} loaded image(s)"
-    )
-    for tr in report.tables:
-        t = tr.table
-        lines.append(f"[{t.kind.value} services table @ {t.table_addr:#x}]")
-        lines.append(
-            f"  revision={t.header.revision:#x} header_size={t.header.header_size}"
-            f" entries={len(t.entries)} null={len(t.null_entries)}"
-        )
-        if tr.crc.computed is None:
-            checked = "UNVERIFIABLE (range past dump end)"
+    """Figure-style text report: a view of the ``to_json_dict`` document, reading nothing else."""
+    doc = to_json_dict(report)
+    lines = [
+        f"dump {doc['dump']['path']}",
+        f"  span {doc['dump']['total_span']} in {len(doc['dump']['regions'])} region(s), "
+        f"{doc['images']['count']} loaded image(s)",
+    ]
+    no_baseline = {a["addr"]: a["detail"] for a in doc["anomalies"] if a["kind"] == "no_baseline"}
+    for t in doc["tables"]:
+        lines.append(f"[{t['kind']} services table @ {t['addr']}]")
+        lines.append(f"  revision={t['revision']} header_size={t['header_size']}"
+                     f" entries={t['entry_count']} null={t['null_entries']}")
+        crc = t["crc"]
+        checked = "UNVERIFIABLE (range past dump end)"
+        if crc["computed"] is not None:
+            ok = "ok" if crc["ok"] else "MISMATCH"
+            checked = f"computed={int(crc['computed'], 16):#010x} {ok}"
+        lines.append(f"  crc32 stored={int(crc['stored'], 16):#010x} {checked} (advisory)")
+        b = t["baseline"]
+        if b is None:
+            lines.append(f"  baseline unavailable: {no_baseline[t['addr']]}")
         else:
-            checked = f"computed={tr.crc.computed:#010x} {'ok' if tr.crc.crc_ok else 'MISMATCH'}"
-        lines.append(f"  crc32 stored={tr.crc.stored:#010x} {checked} (advisory)")
-        if tr.baseline is not None:
-            b = tr.baseline
-            lines.append(
-                f"  baseline {_describe_image(b.image)}"
-                f" confidence={b.confidence} source={b.source}"
-            )
-        else:
-            lines.append(f"  baseline unavailable: {tr.baseline_error}")
-        if t.flags:
-            lines.append(f"  flags: {', '.join(t.flags)}")
+            lines.append(f"  baseline {_describe_image(b['image'])}"
+                         f" confidence={b['confidence']} source={b['source']}")
+        if t["flags"]:
+            lines.append(f"  flags: {', '.join(t['flags'])}")
 
-    lines.append(f"pointer hook findings ({len(report.pointer_findings)}):")
-    for f in report.pointer_findings:
-        lines.append(
-            f"  [{f.table_kind.value}] {f.service_name} (#{f.service_index})"
-            f" -> {f.pointer:#x} in {_describe_image(f.target_image)}"
-            f" severity={f.severity}"
-        )
-    lines.append(f"inline hook findings ({len(report.inline_findings)}):")
-    for f in report.inline_findings:
-        first = f.chain[0]
-        target = f"{f.final_target:#x}" if f.final_target is not None else "<unresolved>"
-        lines.append(
-            f"  [{f.table_kind.value}] {f.service_name} @ {f.function_addr:#x}:"
-            f" {first.kind.value} at {f.hook_addr:#x} -> {target}"
-            f" in {_describe_image(f.target_image)}"
-            f" chain={len(f.chain)}{' indeterminate' if f.indeterminate else ''}"
-        )
-    lines.append(f"anomalies ({len(report.anomalies)}):")
-    lines.extend(f"  {a}" for a in report.anomalies)
-    if report.carve_dir is not None:
-        lines.append(f"carved {len(report.carved)} image(s) -> {report.carve_dir}")
-    lines.append(f"verdict: {report.exit_classification}")
+    lines.append(f"pointer hook findings ({len(doc['pointer_findings'])}):")
+    for f in doc["pointer_findings"]:
+        lines.append(f"  [{f['table']}] {f['service']} (#{f['index']}) -> {f['pointer']}"
+                     f" in {_describe_image(f['target_image'])} severity={f['severity']}")
+    lines.append(f"inline hook findings ({len(doc['inline_findings'])}):")
+    for f in doc["inline_findings"]:
+        lines.append(f"  [{f['table']}] {f['service']} @ {f['function_addr']}:"
+                     f" {f['chain'][0]['kind']} at {f['hook_addr']}"
+                     f" -> {f['final_target'] or '<unresolved>'}"
+                     f" in {_describe_image(f['target_image'])}"
+                     f" chain={len(f['chain'])}{' indeterminate' if f['indeterminate'] else ''}")
+    lines.append(f"anomalies ({len(doc['anomalies'])}):")
+    for a in doc["anomalies"]:  # as Anomaly.__str__ writes it
+        where = f" @ {a['addr']}" if a["addr"] is not None else ""
+        lines.append(f"  {a['kind']}{where}: {a['detail']}")
+    if doc["carve"] is not None:
+        lines.append(f"carved {len(doc['carve']['images'])} image(s) -> {doc['carve']['out_dir']}")
+    lines.append(f"verdict: {doc['exit_classification']}")
     return "\n".join(lines) + "\n"

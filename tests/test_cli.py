@@ -8,6 +8,7 @@ import pytest
 
 from uefiforensics.cli import LOG_ENV_VAR, _configure_logging, main
 from uefiforensics.carver import MANIFEST_NAME
+from uefiforensics.dump_model import load_dump
 from uefiforensics.forge import COMPACT_GEOMETRY, build_minimal_pe, build_scenario, scenario_by_name
 from uefiforensics.image_registry import LDRI_RECORD, LDRI_SIGNATURE, MAX_PATH_CHARS
 from uefiforensics.inline_hooks import MAX_DEPTH_LIMIT, PROLOGUE_WINDOW_LIMIT
@@ -71,6 +72,28 @@ def test_analyze_json_report(fixture_dir, tmp_path, capsys):
     assert all(f["pointer"].startswith("0x") for f in doc["pointer_findings"])
 
 
+@pytest.mark.parametrize("flags, target", [
+    ([], "ev.dump"),
+    (["--map", "ev.map.json"], "ev.map.json"),
+    ([], "link.json"),  # a symlink to the dump
+])
+def test_json_refuses_to_overwrite_the_evidence(fixture_dir, tmp_path, monkeypatch, capsys,
+                                                flags, target):
+    monkeypatch.chdir(tmp_path)
+    inputs = {"ev.dump": fixture_dir / "efiguard.dump",
+              "ev.map.json": fixture_dir / "efiguard.map.json"}
+    for name, source in inputs.items():
+        (tmp_path / name).write_bytes(source.read_bytes())
+    (tmp_path / "link.json").symlink_to("ev.dump")
+    rc = main(["analyze", "ev.dump", *flags, "--json", target])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: --json {target} would overwrite an input file\n"
+    for name, source in inputs.items():
+        assert (tmp_path / name).read_bytes() == source.read_bytes()
+
+
 def test_report_json_deterministic(fixture_dir):
     scenario = build_scenario(replace(scenario_by_name("efiguard"), geometry=COMPACT_GEOMETRY))
     docs = []
@@ -89,6 +112,12 @@ def test_carve_command(fixture_dir, tmp_path, capsys):
     assert "carved 3 image(s)" in out
     assert (out_dir / "carve_manifest.json").exists()
     assert len(list(out_dir.glob("*.efi"))) == 3
+    manifest = json.loads((out_dir / "carve_manifest.json").read_text())
+    assert out.splitlines()[:-1] == [
+        f"{image['file']}  base={image['image_base']} size={image['image_size']:#x} "
+        f"sha256={image['sha256']}" for image in manifest["images"]
+    ]
+    assert all(image["pe_valid"] for image in manifest["images"])
 
 
 def test_carve_prints_anomaly_address(tmp_path, capsys):
@@ -337,7 +366,7 @@ def test_help_and_version_exit_0(argv, capsys):
     assert capsys.readouterr().out
 
 
-def test_crc_range_past_dump_end_is_unverifiable(tmp_path, capsys):
+def test_crc_range_past_dump_end_is_unverifiable(tmp_path, capsys, text_from_document):
     # The entry array fits, so the table parses; its header_size runs the
     # CRC range 0xC00 bytes past the end of the 0x1000-byte dump.
     data = bytearray(0x1000)
@@ -351,6 +380,9 @@ def test_crc_range_past_dump_end_is_unverifiable(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "crc32 stored=0x12345678 UNVERIFIABLE (range past dump end)" in out
+    assert "\n  baseline unavailable: boot table at 0xc00: no service pointer resolves to a " \
+        "loaded image\n" in out
+    assert text_from_document(analyze_dump(load_dump(blob))) == out
     doc = json.loads(out_json.read_text())
     (table,) = doc["tables"]
     assert (table["kind"], table["addr"], table["entry_count"]) == ("boot", "0xc00", 44)

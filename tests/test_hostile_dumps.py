@@ -129,7 +129,7 @@ def test_misaligned_image_record_found():
         assert finding.target_image.identity.file_path == EFIGUARD_PATH
 
 
-def test_dump_path_cannot_rewrite_text_report():
+def test_dump_path_cannot_rewrite_text_report(text_from_document):
     # EfiGuardDxe's path erases the terminal line and prints a fake verdict.
     addr = compact("efiguard").truth.image_by_key(EFIGUARD_PATH).record_addr
     record = compact("efiguard").dump.read_bytes(addr, LDRI_RECORD_LEN)
@@ -141,3 +141,4 @@ def test_dump_path_cannot_rewrite_text_report():
     assert [line for line in text.splitlines() if line.startswith("verdict:")] == [
         "verdict: findings"]
     assert "\x1b" not in text
+    assert text_from_document(report) == text

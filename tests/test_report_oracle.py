@@ -26,7 +26,7 @@ from uefiforensics.forge import (
     builtin_scenarios,
     scenario_by_name,
 )
-from uefiforensics.report import analyze_dump, render_text, to_json_dict
+from uefiforensics.report import AnalysisOptions, analyze_dump, render_text, to_json_dict
 
 from helpers import random_scenario
 
@@ -186,6 +186,20 @@ def test_report_bytes_unchanged(forged, name):
     doc.pop("meta")  # generated_at is the one field allowed to vary
     assert (_sha256(json.dumps(doc, indent=2)), _sha256(render_text(report))) == \
         REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_text_reads_nothing_but_the_json_document(forged, text_from_document, name):
+    report = analyze_dump(forged(name).dump)
+    assert text_from_document(report) == render_text(report)
+
+
+def test_carved_text_reads_nothing_but_the_json_document(text_from_document, tmp_path):
+    spec = replace(scenario_by_name("thunderstrike"), geometry=COMPACT_GEOMETRY)
+    report = analyze_dump(build_scenario(spec).dump, AnalysisOptions(carve_dir=str(tmp_path)))
+    text = render_text(report)
+    assert f"carved 3 image(s) -> {tmp_path}\n" in text
+    assert text_from_document(report) == text
 
 
 FILE_CASES = (
