@@ -15,7 +15,6 @@ so the carve reads the dump only through ``iter_range``.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import re
@@ -23,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dump_model import Anomaly, MemoryDump, PhysAddr
+from .dump_model import Anomaly, MemoryDump, PhysAddr, write_json
 from .image_registry import ImageIdentity, ImageMap
 
 logger = logging.getLogger(__name__)
@@ -79,6 +78,7 @@ def carve_images(
     with numeric suffixes on collision; ordering and naming are
     deterministic for a given dump. ``image_map`` comes from
     ``scan_loaded_images(dump)``, which keeps only records inside the span.
+    A file that would overwrite one of the dump's inputs stops the carve.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -107,6 +107,7 @@ def carve_images(
                     )
                 )
             name = _unique_name(_sanitize_name(record.identity), used_names)
+            dump.refuse_input(out_dir / name)
             chunks = dump.iter_range(record.image_base, record.image_size)
             carved.append(
                 CarvedImage(
@@ -119,7 +120,9 @@ def carve_images(
                     sha256=_write_hashed(out_dir / name, chunks, hasher),
                 )
             )
-    _write_manifest(out_dir / MANIFEST_NAME, carved)
+    manifest = out_dir / MANIFEST_NAME
+    dump.refuse_input(manifest)
+    write_json(manifest, {"schema": 1, "images": [manifest_entry(c) for c in carved]})
     logger.info("carved %d image(s) into %s", len(carved), out_dir)
     return carved, anomalies
 
@@ -155,8 +158,3 @@ def manifest_entry(image: CarvedImage) -> dict:
         "sha256": image.sha256,
         "file": image.output_name,
     }
-
-
-def _write_manifest(path: Path, carved: list[CarvedImage]) -> None:
-    manifest = {"schema": 1, "images": [manifest_entry(c) for c in carved]}
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")

@@ -1,7 +1,8 @@
 """Command-line interface: analyze, carve, forge, tables.
 
 Exit codes: 0 = completed with no findings, 2 = findings present,
-1 = operational error (unreadable dump, bad arguments, IO failure).
+1 = operational error (unreadable dump, bad arguments, IO failure, a write
+that would land on an input).
 Log verbosity comes from the UEFIFORENSICS_LOG environment variable
 (DEBUG, INFO, WARNING, ERROR; default WARNING).
 """
@@ -9,15 +10,13 @@ Log verbosity comes from the UEFIFORENSICS_LOG environment variable
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .carver import carve_images, manifest_entry
-from .dump_model import DumpLoadError, load_dump, same_file
+from .dump_model import DumpLoadError, InputOverwrite, load_dump, write_json
 from .forge import ForgeError, build_scenario, builtin_scenarios, scenario_by_name
 from .image_registry import scan_loaded_images
 from .inline_hooks import MAX_DEPTH_LIMIT, PROLOGUE_WINDOW_LIMIT
@@ -110,14 +109,16 @@ def _options(**fields) -> AnalysisOptions:
 def cmd_analyze(args) -> int:
     options = _options(baseline_guid=args.baseline_guid, prologue_window=args.prologue_window,
                        max_depth=args.max_depth, carve_dir=args.carve_dir)
-    if args.json and any(same_file(args.json, p) for p in (args.dump, args.map_path) if p):
-        print(f"error: --json {args.json} would overwrite an input file", file=sys.stderr)
-        return EXIT_ERROR
-    report = analyze_dump(load_dump(args.dump, args.map_path), options)
+    if args.json == "":
+        print("error: --json must be a non-empty path", file=sys.stderr)
+        raise SystemExit(EXIT_ERROR)
+    dump = load_dump(args.dump, args.map_path)
+    if args.json:
+        dump.refuse_input(args.json)
+    report = analyze_dump(dump, options)
     sys.stdout.write(render_text(report))
     if args.json:
-        text = json.dumps(to_json_dict(report), indent=2) + "\n"
-        Path(args.json).write_text(text, encoding="utf-8")
+        write_json(args.json, to_json_dict(report))
     return report.exit_code
 
 
@@ -173,7 +174,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BaselineError, DumpLoadError, ForgeError, OSError) as exc:
+    except (BaselineError, DumpLoadError, ForgeError, InputOverwrite, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -75,12 +75,13 @@ class Anomaly:
         return f"{self.kind}{where}: {self.detail}"
 
 
-def same_file(path, other) -> bool:
-    """Whether two paths name one file; a missing file is not the same file."""
-    try:
-        return os.path.samefile(path, other)
-    except OSError:
-        return False
+class InputOverwrite(ValueError):
+    """An output path names a file a dump was read from."""
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as every JSON file the tool makes is written."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 class MemoryDump:
@@ -96,10 +97,10 @@ class MemoryDump:
     faults back in from the page cache with the same bytes.
     """
 
-    def __init__(self, data, regions, source_path: str = "<memory>"):
+    def __init__(self, data, regions, source_path: str = "<memory>", inputs=()):
         """``data``: the file bytes, kept as given: ``bytes``, a ``bytearray`` (handed
         over: the caller must not write to it afterwards) or a read-only ``mmap``;
-        ``regions``: Regions in it."""
+        ``regions``: Regions in it; ``inputs``: the files they were read from."""
         self._regions = tuple(sorted(regions, key=lambda r: r.phys_start))
         if not self._regions:
             raise DumpLoadError("dump has no regions")
@@ -119,6 +120,7 @@ class MemoryDump:
         self._starts = [r.phys_start for r in self._regions]
         self.total_span: int = self._regions[-1].phys_end
         self.source_path = str(source_path)
+        self.inputs = tuple(inputs)
 
     @property
     def regions(self) -> tuple[Region, ...]:
@@ -138,28 +140,32 @@ class MemoryDump:
         return cls(b"".join(buf for _, buf in pieces), regions)
 
     def save(self, dump_path, map_path) -> None:
-        """Write the file bytes and the region-map sidecar that ``load_dump`` reads.
-
-        A mapped dump refuses, with ``ValueError``, to write over the file it
-        maps: truncating that file would destroy the bytes being written.
-        """
-        if isinstance(self._data, mmap.mmap):
-            for target in (dump_path, map_path):
-                if same_file(target, self.source_path):
-                    raise ValueError(f"{target} is the file this dump maps")
+        """Write the file bytes and the region-map sidecar that ``load_dump`` reads."""
+        for target in (dump_path, map_path):
+            self.refuse_input(target)
         with open(dump_path, "wb") as fh:  # one window at a time, like the bulk passes
             for off in range(0, len(self._data), WINDOW):
                 fh.write(self._view[off:off + WINDOW])
                 self._drop(off, WINDOW)  # madvise stops at the end of the mapping
-        records = [
+        write_json(map_path, [
             {
                 "phys_start": f"0x{r.phys_start:x}",
                 "file_offset": f"0x{r.file_offset:x}",
                 "length": f"0x{r.length:x}",
             }
             for r in self._regions
-        ]
-        Path(map_path).write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
+        ])
+
+    def refuse_input(self, path) -> None:
+        """Raise :class:`InputOverwrite` if ``path``, a file about to be written, names one
+        of ``inputs``: that would destroy the evidence, and truncating a mapped file kills
+        the process (``SIGBUS``). A link to an input is the input; a missing path, none."""
+        for source in self.inputs:
+            try:
+                if os.path.samefile(path, source):
+                    raise InputOverwrite(f"{path} would overwrite an input file")
+            except OSError:
+                pass
 
     def read_bytes(self, addr: PhysAddr, length: int) -> bytes:
         """Read exactly ``length`` bytes at ``addr``; gap bytes are zero."""
@@ -367,7 +373,8 @@ def load_dump(path, map_path=None) -> MemoryDump:
     if map_path is None:
         regions = [Region(phys_start=0, file_offset=0, length=len(data))]
     try:
-        return MemoryDump(data, regions, source_path=str(path))
+        return MemoryDump(data, regions, source_path=str(path),
+                          inputs=filter(None, (path, map_path)))
     except DumpLoadError as exc:
         data.close()
         raise DumpLoadError(f"sidecar {map_path}: {exc}") from None

@@ -18,7 +18,6 @@ patching) are outside what a dump can capture and are not modelled.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import struct
 import uuid
@@ -28,7 +27,7 @@ from enum import Enum
 from pathlib import Path
 from random import Random
 
-from .dump_model import MemoryDump, Region
+from .dump_model import MemoryDump, Region, write_json
 from .image_registry import LDRI_RECORD, LDRI_RECORD_LEN, LDRI_SIGNATURE, normalize_guid
 from .inline_hooks import TransferKind
 from .service_tables import (
@@ -593,9 +592,7 @@ class ForgedScenario:
         map_path = out_dir / f"{name}.map.json"
         truth_path = out_dir / f"{name}.truth.json"
         self.dump.save(dump_path, map_path)
-        truth_path.write_text(
-            json.dumps(self.truth.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(truth_path, self.truth.to_json_dict())
         logger.info("forged scenario %r -> %s", name, dump_path)
         return {"dump": dump_path, "map": map_path, "truth": truth_path}
 

@@ -1,11 +1,16 @@
 import json
 import logging
+import os
 import struct
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from uefiforensics import cli
 from uefiforensics.cli import LOG_ENV_VAR, _configure_logging, main
 from uefiforensics.carver import MANIFEST_NAME
 from uefiforensics.dump_model import load_dump
@@ -76,6 +81,7 @@ def test_analyze_json_report(fixture_dir, tmp_path, capsys):
     ([], "ev.dump"),
     (["--map", "ev.map.json"], "ev.map.json"),
     ([], "link.json"),  # a symlink to the dump
+    ([], "ev.map.json"),  # the sidecar load_dump finds without --map
 ])
 def test_json_refuses_to_overwrite_the_evidence(fixture_dir, tmp_path, monkeypatch, capsys,
                                                 flags, target):
@@ -89,7 +95,32 @@ def test_json_refuses_to_overwrite_the_evidence(fixture_dir, tmp_path, monkeypat
     out, err = capsys.readouterr()
     assert rc == 1
     assert out == ""
-    assert err == f"error: --json {target} would overwrite an input file\n"
+    assert err == f"error: {target} would overwrite an input file\n"
+    for name, source in inputs.items():
+        assert (tmp_path / name).read_bytes() == source.read_bytes()
+
+
+@pytest.mark.parametrize("command, sidecar", [
+    (["carve", "k/bootmgfw.efi", "k"], "k/bootmgfw.map.json"),
+    (["analyze", "k/bootmgfw.efi", "--carve-out", "k"], "k/bootmgfw.map.json"),
+    (["carve", "ev.dump", "k"], "ev.map.json"),  # k/bootmgfw.efi links to the dump
+], ids=["carve", "carve-out", "symlink"])
+def test_carve_refuses_to_overwrite_the_evidence(fixture_dir, tmp_path, command, sidecar):
+    # In a subprocess: truncating the file a dump maps kills the process with SIGBUS.
+    (tmp_path / "k").mkdir()
+    inputs = {command[1]: fixture_dir / "efiguard.dump", sidecar: fixture_dir / "efiguard.map.json"}
+    for name, source in inputs.items():
+        (tmp_path / name).write_bytes(source.read_bytes())
+    if command[1] == "ev.dump":
+        (tmp_path / "k" / "bootmgfw.efi").symlink_to("../ev.dump")
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "uefiforensics.cli", *command], cwd=tmp_path, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: k/bootmgfw.efi would overwrite an input file\n"
     for name, source in inputs.items():
         assert (tmp_path / name).read_bytes() == source.read_bytes()
 
@@ -337,6 +368,7 @@ def test_flag_limits_accepted_and_shown(fixture_dir, capsys):
     (["--prologue-window", str(PROLOGUE_WINDOW_LIMIT + 1)], "prologue_window"),
     (["--baseline-guid", "not-a-guid"], "baseline_guid"),
     (["--carve-out", ""], "carve_dir"),
+    (["--json", ""], "--json"),
 ])
 def test_bad_option_named_before_the_dump_is_opened(tmp_path, capsys, flags, field):
     with pytest.raises(SystemExit) as exc:

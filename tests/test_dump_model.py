@@ -140,6 +140,18 @@ def test_save_refuses_the_file_it_maps(tmp_path):
     assert load_dump(tmp_path / "copy.dump").read_bytes(0, len(data)) == data
 
 
+@pytest.mark.parametrize("named", [False, True], ids=["found", "named"])
+def test_save_refuses_the_sidecar_it_was_loaded_with(tmp_path, named):
+    path, map_path = write_dump(tmp_path, bytes(0x200), [
+        {"phys_start": 0, "file_offset": 0, "length": 0x200}])
+    sidecar = map_path.read_bytes()
+    dump = load_dump(path, map_path if named else None)
+    with pytest.raises(ValueError):
+        dump.save(tmp_path / "copy.dump", map_path)
+    assert map_path.read_bytes() == sidecar
+    assert not (tmp_path / "copy.dump").exists()
+
+
 def test_overlapping_sidecar_regions_rejected(tmp_path):
     regions = [
         {"phys_start": 0, "file_offset": 0, "length": 0x100},
