@@ -78,16 +78,20 @@ def carve_images(
     with numeric suffixes on collision; ordering and naming are
     deterministic for a given dump. ``image_map`` comes from
     ``scan_loaded_images(dump)``, which keeps only records inside the span.
-    A file that would overwrite one of the dump's inputs stops the carve.
+    A name that would overwrite one of the dump's inputs stops the carve
+    before any file is written.
     """
     out_dir = Path(out_dir)
+    used_names: set[str] = set()
+    names = [_unique_name(_sanitize_name(r.identity), used_names) for r in image_map.records]
+    for name in (*names, MANIFEST_NAME):
+        dump.refuse_input(out_dir / name)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     carved: list[CarvedImage] = []
     anomalies: list[Anomaly] = []
-    used_names: set[str] = set()
     with ThreadPoolExecutor(max_workers=1) as hasher:
-        for record in image_map.records:
+        for record, name in zip(image_map.records, names):
             pe_valid, machine, pe_size = record.pe_header
             if not pe_valid:
                 anomalies.append(
@@ -106,8 +110,6 @@ def carve_images(
                         f"!= PE SizeOfImage {pe_size:#x}",
                     )
                 )
-            name = _unique_name(_sanitize_name(record.identity), used_names)
-            dump.refuse_input(out_dir / name)
             chunks = dump.iter_range(record.image_base, record.image_size)
             carved.append(
                 CarvedImage(
@@ -120,11 +122,18 @@ def carve_images(
                     sha256=_write_hashed(out_dir / name, chunks, hasher),
                 )
             )
-    manifest = out_dir / MANIFEST_NAME
-    dump.refuse_input(manifest)
-    write_json(manifest, {"schema": 1, "images": [manifest_entry(c) for c in carved]})
+    write_json(out_dir / MANIFEST_NAME,
+               {"schema": 1, "images": [manifest_entry(c) for c in carved]})
     logger.info("carved %d image(s) into %s", len(carved), out_dir)
     return carved, anomalies
+
+
+def carve_may_write(out_dir, path) -> bool:
+    """Whether a carve into ``out_dir`` could write ``path``: the manifest, or any name
+    ending in ``.efi`` (as every carved name does), in that directory."""
+    path = Path(path)
+    return ((path.name == MANIFEST_NAME or path.name.lower().endswith(".efi"))
+            and path.resolve().parent == Path(out_dir).resolve())
 
 
 def _write_hashed(path: Path, chunks, hasher: ThreadPoolExecutor) -> str:

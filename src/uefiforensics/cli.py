@@ -13,9 +13,10 @@ import argparse
 import logging
 import os
 import sys
+from typing import NoReturn
 
 from . import __version__
-from .carver import carve_images, manifest_entry
+from .carver import carve_images, carve_may_write, manifest_entry
 from .dump_model import DumpLoadError, InputOverwrite, load_dump, write_json
 from .forge import ForgeError, build_scenario, builtin_scenarios, scenario_by_name
 from .image_registry import scan_loaded_images
@@ -96,22 +97,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(message: str) -> NoReturn:
+    """Exit 1 with ``message``: for arguments refused before the dump is opened, so that
+    the error is named even for a missing dump."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_ERROR)
+
+
 def _options(**fields) -> AnalysisOptions:
-    """A command's options from ``AnalysisOptions``, asked for before the dump is opened
-    so that a bad flag is named even for a missing dump; a refused option exits 1."""
+    """A command's options from ``AnalysisOptions``; a refused option exits 1."""
     try:
         return AnalysisOptions(**fields)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_ERROR) from None
+        _refuse(str(exc))
 
 
 def cmd_analyze(args) -> int:
     options = _options(baseline_guid=args.baseline_guid, prologue_window=args.prologue_window,
                        max_depth=args.max_depth, carve_dir=args.carve_dir)
     if args.json == "":
-        print("error: --json must be a non-empty path", file=sys.stderr)
-        raise SystemExit(EXIT_ERROR)
+        _refuse("--json must be a non-empty path")
+    if args.json and options.carve_dir and carve_may_write(options.carve_dir, args.json):
+        _refuse(f"{args.json} would overwrite a carved file")
     dump = load_dump(args.dump, args.map_path)
     if args.json:
         dump.refuse_input(args.json)

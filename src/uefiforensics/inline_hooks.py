@@ -7,7 +7,8 @@ benign-looking in-image transfers breadth-first through a bounded number of
 nesting levels (attackers chain in-image jumps to defeat single-hop checks).
 Within one table, each instruction is decoded once and each address swept
 once, through memos its services share; chains and findings stay per
-service.
+service. Each transfer is examined once per service, on its shortest chain,
+so a service's walk costs at most the distinct transfers it reaches.
 
 The decoder is one opcode map (Intel SDM Vol. 2, Appendix A): after up to
 four legacy prefixes and a REX byte, the one-byte or ``0F`` opcode selects
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dump_model import MemoryDump, OutOfBoundsRead, PhysAddr
 from .image_registry import ImageMap, LoadedImageRecord
@@ -64,8 +66,7 @@ class TransferKind(enum.Enum):
     JMP_INDIRECT = "jmp_indirect"
 
 
-@dataclass(frozen=True)
-class ControlTransfer:
+class ControlTransfer(NamedTuple):
     at: PhysAddr
     kind: TransferKind
     length: int
@@ -81,8 +82,7 @@ STOP_JMP = "unconditional_jmp"
 STOP_OPAQUE = "opaque"
 
 
-@dataclass(frozen=True)
-class PrologueScan:
+class PrologueScan(NamedTuple):
     transfers: tuple[ControlTransfer, ...]
     stop_reason: str
     end_addr: PhysAddr
@@ -290,21 +290,21 @@ def scan_prologue(
     avail = min(window + DECODE_WINDOW, dump.total_span - function_addr)
     code = dump.read_bytes(function_addr, avail)
     transfers: list[ControlTransfer] = []
-    cursor = 0
+    at, end = function_addr, function_addr + window
     stop = STOP_WINDOW
-    while cursor < window:
-        at = function_addr + cursor
+    while at < end:
         step = steps.get(at)
         if step is None:
-            step = steps[at] = _step(dump, code[cursor:cursor + DECODE_WINDOW], at)
+            offset = at - function_addr
+            step = steps[at] = _step(dump, code[offset:offset + DECODE_WINDOW], at)
         length, stop_reason, transfer = step
-        cursor += length
+        at += length
         if transfer is not None:
             transfers.append(transfer)
         if stop_reason is not None:
             stop = stop_reason
             break
-    return PrologueScan(tuple(transfers), stop, function_addr + cursor)
+    return PrologueScan(tuple(transfers), stop, at)
 
 
 def detect_inline_hooks(
@@ -340,11 +340,14 @@ def detect_inline_hooks(
         if entry.pointer == 0:
             continue
         owner = image_map.resolve_owner(entry.pointer) or baseline.image
+        owner_base, owner_end = owner.image_base, owner.image_end
 
         # Breadth-first over a worklist that grows as it is read: each address
-        # is followed once, on its shortest chain; each escape is reported once.
+        # is followed once, on its shortest chain. Each transfer is examined
+        # once: a step depends only on its address, and a later examination,
+        # on a chain no shorter, could only repeat a finding or a queued target.
         seen = {entry.pointer}
-        reported: set[tuple[PhysAddr, PhysAddr | None]] = set()
+        examined: set[PhysAddr] = set()
         frontier: list[tuple[PhysAddr, tuple[ControlTransfer, ...]]] = [(entry.pointer, ())]
         for addr, chain in frontier:
             if not dump.in_span(addr):
@@ -352,27 +355,29 @@ def detect_inline_hooks(
             scan = scans.get(addr)
             if scan is None:
                 scan = scans[addr] = scan_prologue(dump, addr, window, steps)
+            follow = len(chain) + 1 < max_depth
             for t in scan.transfers:
+                if t.at in examined:
+                    continue
+                examined.add(t.at)
+                target = t.target
+                if target is not None and owner_base <= target < owner_end:
+                    if follow and target not in seen:
+                        seen.add(target)
+                        frontier.append((target, chain + (t,)))
+                    continue
                 extended = chain + (t,)
-                if t.target is not None and owner.contains(t.target):
-                    if len(extended) < max_depth and t.target not in seen:
-                        seen.add(t.target)
-                        frontier.append((t.target, extended))
-                    continue
-                if (t.at, t.target) in reported:
-                    continue
-                reported.add((t.at, t.target))
-                target_image = image_map.resolve_owner(t.target) if t.target is not None else None
+                target_image = image_map.resolve_owner(target) if target is not None else None
                 findings.append(
                     InlineHookFinding(
                         table_kind=table.kind,
                         service_name=entry.name,
                         function_addr=entry.pointer,
                         hook_addr=extended[0].at,
-                        final_target=t.target,
+                        final_target=target,
                         chain=extended,
                         target_image=target_image,
-                        indeterminate=t.target is None,
+                        indeterminate=target is None,
                         note=CROSS_IMAGE_NOTE if target_image is not None else None,
                     )
                 )

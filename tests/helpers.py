@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import uuid
+from collections import deque
 from pathlib import Path
 from random import Random
 
@@ -29,6 +30,7 @@ from uefiforensics.forge import (
     PointerHookSpec,
     ScenarioSpec,
 )
+from uefiforensics.inline_hooks import scan_prologue
 from uefiforensics.service_tables import TableKind
 
 
@@ -88,6 +90,36 @@ def brute_force_owners(records, addr):
 def brute_force_owner(records, addr):
     """The first entry of ``brute_force_owners``, or None."""
     return next(iter(brute_force_owners(records, addr)), None)
+
+
+def reference_inline_walk(dump, table, records, baseline_image, max_depth, window) -> list:
+    """The inline walk with nothing saved between sweeps: breadth-first from each service
+    pointer, a fresh ``scan_prologue`` of every address followed, each address followed
+    once on its shortest chain, each escape edge ``(at, target)`` reported once per
+    service. One ``(table, service, hook_addr, final_target, indeterminate, chain)`` per
+    finding, in the order found; the owner is ``brute_force_owner``, else the baseline."""
+    found = []
+    for entry in table.entries:
+        if entry.pointer == 0:
+            continue
+        owner = brute_force_owner(records, entry.pointer) or baseline_image
+        seen, reported = {entry.pointer}, set()
+        frontier = deque([(entry.pointer, ())])
+        while frontier:
+            addr, chain = frontier.popleft()
+            if not dump.in_span(addr):
+                continue
+            for t in scan_prologue(dump, addr, window).transfers:
+                extended = chain + (t,)
+                if t.target is not None and brute_force_owners([owner], t.target):
+                    if len(extended) < max_depth and t.target not in seen:
+                        seen.add(t.target)
+                        frontier.append((t.target, extended))
+                elif (t.at, t.target) not in reported:
+                    reported.add((t.at, t.target))
+                    found.append((table.kind, entry.name, extended[0].at, t.target,
+                                  t.target is None, extended))
+    return found
 
 
 def sext(value: int, bits: int) -> int:

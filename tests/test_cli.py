@@ -123,6 +123,32 @@ def test_carve_refuses_to_overwrite_the_evidence(fixture_dir, tmp_path, command,
     assert proc.stderr == "error: k/bootmgfw.efi would overwrite an input file\n"
     for name, source in inputs.items():
         assert (tmp_path / name).read_bytes() == source.read_bytes()
+    # Every name is refused before the first is written: no image carved ahead of
+    # the refused one in record order, and no manifest.
+    left = {p.relative_to(tmp_path).as_posix() for p in (tmp_path / "k").iterdir()}
+    assert left == {name for name in (*inputs, "k/bootmgfw.efi") if name.startswith("k/")}
+
+
+@pytest.mark.parametrize("target", [
+    f"k2/{MANIFEST_NAME}", "k2/bootmgfw.efi", "k2/../k2/Other.EFI",
+])
+def test_json_naming_a_carve_output_refused_before_the_dump_is_opened(tmp_path, monkeypatch,
+                                                                      capsys, target):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "missing.dump", "--carve-out", "k2", "--json", target])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: {target} would overwrite a carved file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_beside_the_carved_files(fixture_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["analyze", str(fixture_dir / "efiguard.dump"), "--carve-out", "k2",
+               "--json", "k2/report.json"])
+    assert rc == 2
+    assert json.loads((tmp_path / "k2" / MANIFEST_NAME).read_text())["schema"] == 1
+    assert json.loads((tmp_path / "k2" / "report.json").read_text())["exit_classification"]
 
 
 def test_report_json_deterministic(fixture_dir):

@@ -1,5 +1,7 @@
 import struct
+import time
 from dataclasses import replace
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,8 @@ from uefiforensics import inline_hooks
 from uefiforensics.dump_model import MemoryDump, OutOfBoundsRead
 from uefiforensics.forge import (
     BOOTMGFW_PATH,
+    COMPACT_GEOMETRY,
+    CORE_GUID,
     EFIGUARD_PATH,
     MOONBOUNCE_PAYLOAD_GUID,
     STYLE_MOV_JMP,
@@ -134,17 +138,19 @@ def test_decode_opaque():
         assert decode_instruction(bytes.fromhex(encoding) + bytes(16), 0) is None, encoding
 
 
-def patch_dump(dump: MemoryDump, addr: int, code: bytes) -> MemoryDump:
-    """A copy of ``dump`` with ``code`` written at physical address ``addr``."""
+def patch_dump(dump: MemoryDump, patches: dict[int, bytes]) -> MemoryDump:
+    """A copy of ``dump`` with each ``code`` of ``patches`` written at its physical address."""
     pieces = []
     for region in dump.regions:
         buf = bytearray(dump.read_bytes(region.phys_start, region.length))
-        offset = addr - region.phys_start
-        if 0 <= offset <= region.length - len(code):
-            buf[offset:offset + len(code)] = code
+        for addr, code in patches.items():
+            offset = addr - region.phys_start
+            if 0 <= offset <= region.length - len(code):
+                buf[offset:offset + len(code)] = code
         pieces.append((region.phys_start, bytes(buf)))
     patched = MemoryDump.from_regions(pieces)
-    assert patched.read_bytes(addr, len(code)) == code
+    for addr, code in patches.items():
+        assert patched.read_bytes(addr, len(code)) == code
     return patched
 
 
@@ -480,7 +486,7 @@ def test_hook_after_endbr64_found(forged):
     payload = scenario.truth.image_by_key(EFIGUARD_PATH).base + 0x400
     jmp_at = function_addr + 4
     code = bytes.fromhex("F30F1EFA") + b"\xE9" + struct.pack("<i", payload - (jmp_at + 5))
-    dump = patch_dump(scenario.dump, function_addr, code)
+    dump = patch_dump(scenario.dump, {function_addr: code})
     (finding,) = analyze_dump(dump).inline_findings
     assert finding.service_name == "CreateEventEx"
     assert finding.hook_addr == function_addr + 4
@@ -493,7 +499,7 @@ def test_register_far_call_is_not_a_transfer(forged):
     # FF D9 (call far through rbx) raises #UD: the sweep stops, no finding.
     scenario = forged("clean")
     function_addr = scenario.truth.tables["boot"].true_pointers["RaiseTPL"]
-    dump = patch_dump(scenario.dump, function_addr, b"\xFF\xD9")
+    dump = patch_dump(scenario.dump, {function_addr: b"\xFF\xD9"})
     assert scan_prologue(dump, function_addr).stop_reason == STOP_OPAQUE
     report = analyze_dump(dump)
     assert report.inline_findings == []
@@ -508,7 +514,7 @@ def test_far_transfers_through_memory_are_indeterminate(forged):
     for modrm in (0x1D, 0x2D):
         code = bytes([0xFF, modrm]) + struct.pack("<i", 0x1A) + b"\xC3"
         code += bytes(0x20 - len(code)) + struct.pack("<IH", 0x2000, 0x38)
-        report = analyze_dump(patch_dump(scenario.dump, function_addr, code))
+        report = analyze_dump(patch_dump(scenario.dump, {function_addr: code}))
         (finding,) = report.inline_findings
         assert finding.hook_addr == function_addr
         assert finding.indeterminate and finding.final_target is None
@@ -545,7 +551,7 @@ def test_ladder_sweeps_each_address_once(forged, monkeypatch, max_depth):
     # the ladder once per path: 137 times at depth 3, 6,885 at depth 6.
     scenario = forged("clean")
     function_addr = scenario.truth.tables["boot"].true_pointers["RaiseTPL"]
-    dump = patch_dump(scenario.dump, function_addr, LADDER)
+    dump = patch_dump(scenario.dump, {function_addr: LADDER})
     table, image_map = raise_tpl_only(dump)
     swept = record_sweeps(monkeypatch)
     baseline = infer_baseline(table, image_map)
@@ -564,7 +570,7 @@ def test_escape_behind_ladder_reported_once(forged, max_depth):
     payload = scenario.truth.image_by_key(BOOTMGFW_PATH).base + 0x400
     jmp_at = function_addr + len(LADDER)
     code = LADDER + b"\xE9" + struct.pack("<i", payload - (jmp_at + 5))
-    dump = patch_dump(scenario.dump, function_addr, code)
+    dump = patch_dump(scenario.dump, {function_addr: code})
     table, image_map = raise_tpl_only(dump)
     baseline = infer_baseline(table, image_map)
     (finding,) = detect_inline_hooks(dump, table, image_map, baseline, max_depth=max_depth)
@@ -578,7 +584,7 @@ def test_ladder_decodes_each_address_once(forged, monkeypatch, max_depth):
     # The 17 ladder sweeps overlap; each instruction is decoded by the first.
     scenario = forged("clean")
     function_addr = scenario.truth.tables["boot"].true_pointers["RaiseTPL"]
-    dump = patch_dump(scenario.dump, function_addr, LADDER)
+    dump = patch_dump(scenario.dump, {function_addr: LADDER})
     table, image_map = raise_tpl_only(dump)
     decoded = []
     decode = inline_hooks.decode_instruction
@@ -619,3 +625,36 @@ def test_services_share_the_sweep_of_a_common_site(monkeypatch):
         ("RestoreTPL", 0x1200, helper),
     ]
     assert all(f.final_target == 0x3000 for f in findings)
+
+
+def chain_bomb() -> MemoryDump:
+    """Compact ``clean`` with five ``jz rel32`` to random sites at each service prologue
+    and at each of 512 32-byte sites at core offsets 0x4000-0x8000: every site is in the
+    core image, so every chain stays in-image and a walk reaches each site many times."""
+    rng = Random(0)
+    scenario = build_scenario(replace(scenario_by_name("clean"), geometry=COMPACT_GEOMETRY))
+    core = scenario.truth.image_by_key(CORE_GUID).base
+    sites = [core + 0x4000 + 32 * i for i in range(512)]
+    prologues = {p for t in scenario.truth.tables.values() for p in t.true_pointers.values()}
+    patches = {}
+    for start in sorted(prologues) + sites:
+        patches[start] = b"".join(
+            b"\x0F\x84" + struct.pack("<i", site - (start + 6 * k + 6))
+            for k, site in enumerate(rng.choices(sites, k=5))
+        )
+    return patch_dump(scenario.dump, patches)
+
+
+@pytest.mark.slow
+def test_chain_bomb_is_clean_and_bounded():
+    # Each transfer is examined once per service: at the widest window and deepest
+    # chain the walk's cost is the distinct transfers each service reaches.
+    dump = chain_bomb()
+    assert analyze_dump(dump).inline_findings == []
+    start = time.perf_counter()
+    report = analyze_dump(dump, AnalysisOptions(prologue_window=PROLOGUE_WINDOW_LIMIT,
+                                                max_depth=MAX_DEPTH_LIMIT))
+    elapsed = time.perf_counter() - start
+    assert report.inline_findings == []
+    assert report.exit_code == 0
+    assert elapsed < 5.0, f"chain-bomb took {elapsed:.2f}s"
