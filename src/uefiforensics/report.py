@@ -1,10 +1,10 @@
 """Analysis orchestration and deterministic report assembly.
 
-Runs the full pipeline — table parsing, image registry, pointer and inline
-hook detection, optional carving — and states the result once, as the stable
-``to_json_dict`` document (fixed key order, lowercase hex addresses, sorted
-findings). The text report is a view of that document and reads nothing else.
-Wall-clock time lives only in ``meta.generated_at``.
+Runs the full pipeline in order — image registry, table parsing, pointer and
+inline hook detection, then optional carving — and states the result once, as
+the stable ``to_json_dict`` document (fixed key order, lowercase hex addresses,
+sorted findings). The text report is a view of that document and reads
+nothing else. Wall-clock time lives only in ``meta.generated_at``.
 """
 
 from __future__ import annotations
@@ -120,55 +120,16 @@ def content_sha256(dump: MemoryDump) -> str:
     return h.hexdigest()
 
 
-def _inspect_tables(
-    dump: MemoryDump, image_map: ImageMap, override: LoadedImageRecord | None,
-    options: AnalysisOptions,
-) -> tuple[list[TableReport], list[PointerHookFinding], list[InlineHookFinding], list[Anomaly]]:
-    """Locate, check and sweep every service table; findings and anomalies sorted."""
-    tables, table_anomalies = locate_tables(dump)
-    anomalies = list(table_anomalies) + list(image_map.anomalies)
-
-    table_reports: list[TableReport] = []
-    pointer_findings: list[PointerHookFinding] = []
-    inline_findings: list[InlineHookFinding] = []
-    for table in tables:
-        crc = verify_table_integrity(dump, table)
-        if crc.computed is None:
-            detail = f"header_size {table.header.header_size} runs past the dump span"
-            anomalies.append(Anomaly("crc_unverifiable", table.table_addr, detail))
-        baseline = None
-        try:
-            baseline = infer_baseline(table, image_map, override)
-        except BaselineError as exc:
-            anomalies.append(Anomaly("no_baseline", table.table_addr, str(exc)))
-        table_reports.append(TableReport(table, crc, baseline))
-        if baseline is None:
-            continue
-        pointer_findings.extend(detect_pointer_hooks(table, image_map, baseline))
-        inline_findings.extend(
-            detect_inline_hooks(
-                dump, table, image_map, baseline,
-                max_depth=options.max_depth, window=options.prologue_window,
-            )
-        )
-
-    pointer_findings.sort(key=lambda f: (f.table_kind.rank, f.service_index))
-    inline_findings.sort(key=lambda f: (f.table_kind.rank, f.service_name, f.hook_addr))
-    anomalies.sort(key=lambda a: (a.kind, a.addr if a.addr is not None else -1, a.detail))
-    return table_reports, pointer_findings, inline_findings, anomalies
-
-
 def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> AnalysisReport:
-    """Run parse -> detect -> (optionally) carve over a loaded dump.
-
-    A ``baseline_guid`` naming no loaded image raises ``BaselineError``
-    before anything is carved. The content hash and the carve run on two
-    worker threads while this one scans and detects: SHA-256 and file
-    writes release the GIL, the scan's ``find`` calls (its one-byte probes
-    too) hold it. Carve anomalies follow the sorted ones.
+    """Run the pipeline over a loaded dump, in order, on the calling thread:
+    scan the images and resolve ``baseline_guid``, so that one naming no loaded
+    image raises ``BaselineError`` before anything is carved; locate, check and
+    sweep every table; then carve, when ``carve_dir`` is set. One worker hashes
+    the dump beside the stages (SHA-256 releases the GIL, the scans' ``find``
+    holds it). Findings and anomalies are sorted; carve anomalies follow them.
     """
     options = options or AnalysisOptions()
-    with ThreadPoolExecutor(max_workers=2) as pool:
+    with ThreadPoolExecutor(max_workers=1) as pool:
         digest = pool.submit(content_sha256, dump)
         image_map = scan_loaded_images(dump)
         override = None
@@ -176,18 +137,41 @@ def analyze_dump(dump: MemoryDump, options: AnalysisOptions | None = None) -> An
             override = image_map.by_guid(options.baseline_guid)
             if override is None:
                 raise BaselineError(f"no loaded image has GUID {options.baseline_guid}")
-        carving = (
-            pool.submit(carve_images, dump, image_map, options.carve_dir)
-            if options.carve_dir else None
+        tables, table_anomalies = locate_tables(dump)
+        anomalies = list(table_anomalies) + list(image_map.anomalies)
+        table_reports: list[TableReport] = []
+        pointer_findings: list[PointerHookFinding] = []
+        inline_findings: list[InlineHookFinding] = []
+        for table in tables:
+            crc = verify_table_integrity(dump, table)
+            if crc.computed is None:
+                detail = f"header_size {table.header.header_size} runs past the dump span"
+                anomalies.append(Anomaly("crc_unverifiable", table.table_addr, detail))
+            baseline = None
+            try:
+                baseline = infer_baseline(table, image_map, override)
+            except BaselineError as exc:
+                anomalies.append(Anomaly("no_baseline", table.table_addr, str(exc)))
+            table_reports.append(TableReport(table, crc, baseline))
+            if baseline is None:
+                continue
+            pointer_findings.extend(detect_pointer_hooks(table, image_map, baseline))
+            inline_findings.extend(
+                detect_inline_hooks(
+                    dump, table, image_map, baseline,
+                    max_depth=options.max_depth, window=options.prologue_window,
+                )
+            )
+        pointer_findings.sort(key=lambda f: (f.table_kind.rank, f.service_index))
+        inline_findings.sort(key=lambda f: (f.table_kind.rank, f.service_name, f.hook_addr))
+        anomalies.sort(key=lambda a: (a.kind, a.addr if a.addr is not None else -1, a.detail))
+        carved, carve_anomalies = (
+            carve_images(dump, image_map, options.carve_dir) if options.carve_dir else ([], [])
         )
-        tables, pointer_findings, inline_findings, anomalies = _inspect_tables(
-            dump, image_map, override, options
-        )
-        carved, carve_anomalies = carving.result() if carving is not None else ([], [])
         return AnalysisReport(
             dump=dump,
             sha256=digest.result(),
-            tables=tables,
+            tables=table_reports,
             image_map=image_map,
             pointer_findings=pointer_findings,
             inline_findings=inline_findings,

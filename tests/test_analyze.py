@@ -1,9 +1,11 @@
-"""``analyze_dump`` hashes and carves on worker threads beside the scans.
+"""``analyze_dump`` runs its stages in order on the calling thread and hashes
+the dump on one worker thread beside them.
 
-The threads must not show in the result: the content hash is computed
-once per analysis, carve anomalies follow the sorted ones, carved images
-come in record order, a worker's error reaches the caller unchanged and
-every worker is joined when the call returns, on the error paths too.
+The worker must not show in the result: the content hash is computed once
+per analysis, the carve comes after detection, on the caller's thread, carve
+anomalies follow the sorted ones, carved images come in record order, an
+error reaches the caller unchanged and the worker is joined when the call
+returns, on the error paths too.
 """
 
 import hashlib
@@ -50,6 +52,23 @@ def test_content_hashed_once_per_analysis(monkeypatch, compact_efiguard):
     render_text(rep)
     assert calls == [dump]
     assert rep.sha256 == real(dump) == first["dump"]["sha256"] == second["dump"]["sha256"]
+
+
+def test_carve_runs_last_on_the_calling_thread(monkeypatch, tmp_path, compact_efiguard):
+    calls = []
+
+    def recording(name, real):
+        def call(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("detect_inline_hooks", "carve_images"):
+        monkeypatch.setattr(report, name, recording(name, getattr(report, name)))
+    rep = analyze_dump(compact_efiguard.dump, AnalysisOptions(carve_dir=str(tmp_path / "k")))
+    names = [name for name, _ in calls]
+    assert rep.carved and names == ["detect_inline_hooks"] * len(rep.tables) + ["carve_images"]
+    assert calls[-1][1] == threading.get_ident()
 
 
 def test_carve_dir_on_a_file_raises_and_joins_workers(tmp_path, compact_efiguard):
@@ -170,7 +189,7 @@ def test_carve_anomaly_follows_the_sorted_list(tmp_path):
 
 
 def test_concurrent_analyses_under_fast_thread_switching(tmp_path, compact_efiguard):
-    # Four callers at once, each with its own two workers and carve helper,
+    # Four callers at once, each with its own hash worker and carve helper,
     # under a 1 us switch interval: more threads than cores, switching often.
     # Every report and carved digest matches the one a lone call gives.
     dump = compact_efiguard.dump

@@ -75,6 +75,26 @@ def test_sidecar_autodiscovered_next_to_dump(tmp_path):
     assert dump.read_bytes(0x1000, 1) == b"\xCC"
 
 
+def test_sidecar_named_after_the_whole_dump_name_is_probed(tmp_path):
+    path, _ = write_dump(tmp_path, b"\xCC" * 0x80)
+    map_path = tmp_path / "test.dump.map.json"
+    map_path.write_text(json.dumps([{"phys_start": 0x1000, "file_offset": 0, "length": 0x80}]))
+    dump = load_dump(path)
+    assert dump.regions == (Region(phys_start=0x1000, file_offset=0, length=0x80),)
+    assert dump.inputs == (path, map_path)
+
+
+def test_stem_sidecar_wins_over_the_whole_name_sidecar(tmp_path):
+    regions = [{"phys_start": 0x1000, "file_offset": 0, "length": 0x80}]
+    path, map_path = write_dump(tmp_path, b"\xCC" * 0x80, regions)
+    (tmp_path / "test.dump.map.json").write_text(
+        json.dumps([{"phys_start": 0x2000, "file_offset": 0, "length": 0x40}])
+    )
+    dump = load_dump(path)
+    assert dump.regions == (Region(phys_start=0x1000, file_offset=0, length=0x80),)
+    assert dump.inputs == (path, map_path)
+
+
 def test_known_byte_round_trips(tmp_path, forged):
     scenario = forged("clean")
     paths = scenario.write(tmp_path)

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from uefiforensics import inline_hooks
+from uefiforensics import inline_hooks, report as report_module
 from uefiforensics.dump_model import MemoryDump, OutOfBoundsRead
 from uefiforensics.forge import (
     BOOTMGFW_PATH,
@@ -537,6 +537,21 @@ def record_sweeps(monkeypatch) -> list[int]:
     return swept
 
 
+def record_sweeps_per_table(monkeypatch) -> list[list[int]]:
+    """Addresses passed to scan_prologue by each detect_inline_hooks call of analyze_dump."""
+    swept, per_table = record_sweeps(monkeypatch), []
+    detect = report_module.detect_inline_hooks
+
+    def recording(*args, **kwargs):
+        swept.clear()
+        findings = detect(*args, **kwargs)
+        per_table.append(list(swept))
+        return findings
+
+    monkeypatch.setattr(report_module, "detect_inline_hooks", recording)
+    return per_table
+
+
 def raise_tpl_only(dump):
     """The dump's boot table cut down to RaiseTPL, and the dump's image map."""
     tables, _ = locate_tables(dump)
@@ -645,12 +660,25 @@ def chain_bomb() -> MemoryDump:
     return patch_dump(scenario.dump, patches)
 
 
+@pytest.mark.parametrize("name", sorted(spec.name for spec in builtin_scenarios()))
+def test_no_address_is_swept_twice_within_a_table(forged, monkeypatch, name):
+    # Within one table the sweeps are at most the distinct addresses swept.
+    per_table = record_sweeps_per_table(monkeypatch)
+    report = analyze_dump(forged(name).dump)
+    assert len(per_table) == sum(t.baseline is not None for t in report.tables) > 0
+    assert all(len(swept) == len(set(swept)) for swept in per_table)
+
+
 @pytest.mark.slow
-def test_chain_bomb_is_clean_and_bounded():
+def test_chain_bomb_is_clean_and_bounded(monkeypatch):
     # Each transfer is examined once per service: at the widest window and deepest
-    # chain the walk's cost is the distinct transfers each service reaches.
+    # chain the walk's cost is the distinct transfers each service reaches. The 512
+    # sites are shared by every table, so each table may sweep them once.
     dump = chain_bomb()
+    per_table = record_sweeps_per_table(monkeypatch)
     assert analyze_dump(dump).inline_findings == []
+    assert len(per_table) == 3 and all(len(swept) == len(set(swept)) for swept in per_table)
+    per_table.clear()
     start = time.perf_counter()
     report = analyze_dump(dump, AnalysisOptions(prologue_window=PROLOGUE_WINDOW_LIMIT,
                                                 max_depth=MAX_DEPTH_LIMIT))
@@ -658,3 +686,4 @@ def test_chain_bomb_is_clean_and_bounded():
     assert report.inline_findings == []
     assert report.exit_code == 0
     assert elapsed < 5.0, f"chain-bomb took {elapsed:.2f}s"
+    assert len(per_table) == 3 and all(len(swept) == len(set(swept)) for swept in per_table)

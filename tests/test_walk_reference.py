@@ -1,24 +1,40 @@
-"""The inline walk against ``helpers.reference_inline_walk`` on generated gadget dumps.
+"""The inline walk against ``helpers.reference_inline_walk``, on generated gadget dumps
+and on forged ones.
 
-Each dump holds two images and code sites built from gadgets: ``je +0`` ladders,
+Each gadget dump holds two images and code sites built from gadgets: ``je +0`` ladders,
 rel32 ``call``/``jmp``/``jcc`` to other sites or anywhere, short branches, near and
 far pointer-slot forms, register-indirect forms and random bytes. One or two tables
 of one to five services each point at the sites, so services share sites and the
-sweeps and transfers behind them.
+sweeps and transfers behind them. The forged dumps are the builtins at
+``COMPACT_GEOMETRY`` and the first 40 specs of the random corpus.
 """
 
 import struct
+from dataclasses import replace
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uefiforensics.dump_model import MemoryDump
-from uefiforensics.image_registry import ImageIdentity, ImageMap, LoadedImageRecord
-from uefiforensics.inline_hooks import detect_inline_hooks
-from uefiforensics.pointer_hooks import OwnershipBaseline
-from uefiforensics.service_tables import ServiceEntry, ServiceTable, TableHeader, TableKind
+from uefiforensics.forge import COMPACT_GEOMETRY, build_scenario, builtin_scenarios
+from uefiforensics.image_registry import (
+    ImageIdentity,
+    ImageMap,
+    LoadedImageRecord,
+    scan_loaded_images,
+)
+from uefiforensics.inline_hooks import DEFAULT_PROLOGUE_WINDOW, detect_inline_hooks
+from uefiforensics.pointer_hooks import BaselineError, OwnershipBaseline, infer_baseline
+from uefiforensics.service_tables import (
+    ServiceEntry,
+    ServiceTable,
+    TableHeader,
+    TableKind,
+    locate_tables,
+)
 
-from helpers import NOT_PE, reference_inline_walk
+from helpers import NOT_PE, random_scenario, reference_inline_walk
 
 SPAN = 0x4000
 OWNER = LoadedImageRecord(0, 0x1000, 0x1000, ImageIdentity(file_path="\\owner.efi"), NOT_PE)
@@ -95,9 +111,42 @@ def test_walk_matches_the_reference_walk(max_depth, sites_code, slot_targets, ta
     baseline = OwnershipBaseline(OWNER, confidence="high", source="override")
     for kind, pointers in zip((TableKind.BOOT, TableKind.RUNTIME), tables):
         table = service_table(kind, pointers)
-        walked = [
-            (f.table_kind, f.service_name, f.hook_addr, f.final_target, f.indeterminate, f.chain)
-            for f in detect_inline_hooks(dump, table, image_map, baseline, max_depth, window)
-        ]
-        assert walked == reference_inline_walk(dump, table, image_map.records, OWNER,
-                                               max_depth, window)
+        assert walk(dump, table, image_map, baseline, max_depth, window) == \
+            reference_inline_walk(dump, table, image_map.records, OWNER, max_depth, window)
+
+
+def walk(dump, table, image_map, baseline, max_depth, window) -> list:
+    return [
+        (f.table_kind, f.service_name, f.hook_addr, f.final_target, f.indeterminate, f.chain)
+        for f in detect_inline_hooks(dump, table, image_map, baseline, max_depth, window)
+    ]
+
+
+@pytest.fixture(scope="module")
+def forged_tables():
+    """(dump, table, image map, baseline) for every table with a baseline in the builtins
+    at ``COMPACT_GEOMETRY`` and in ``random_scenario(Random(12), i)`` built at seed i, i < 40."""
+    rng = Random(12)
+    specs = [(replace(spec, geometry=COMPACT_GEOMETRY), 0) for spec in builtin_scenarios()]
+    specs += [(random_scenario(rng, i), i) for i in range(40)]
+    cases = []
+    for spec, seed in specs:
+        dump = build_scenario(spec, seed).dump
+        image_map = scan_loaded_images(dump)
+        for table in locate_tables(dump)[0]:
+            try:
+                cases.append((dump, table, image_map, infer_baseline(table, image_map)))
+            except BaselineError:
+                pass
+    return cases
+
+
+@pytest.mark.parametrize("max_depth", [1, 3, 5])
+def test_walk_matches_the_reference_walk_on_forged_dumps(forged_tables, max_depth):
+    found = 0
+    for dump, table, image_map, baseline in forged_tables:
+        walked = walk(dump, table, image_map, baseline, max_depth, DEFAULT_PROLOGUE_WINDOW)
+        assert walked == reference_inline_walk(dump, table, image_map.records, baseline.image,
+                                               max_depth, DEFAULT_PROLOGUE_WINDOW)
+        found += len(walked)
+    assert found  # the corpus holds inline hooks at every depth
