@@ -5,10 +5,12 @@ control transfer into attacker code. The detector linearly sweeps each
 service function's prologue, classifies control transfers, and follows
 benign-looking in-image transfers breadth-first through a bounded number of
 nesting levels (attackers chain in-image jumps to defeat single-hop checks).
-Within one table, each instruction is decoded once and each address swept
-once, through memos its services share; chains and findings stay per
-service. Each transfer is examined once per service, on its shortest chain,
-so a service's walk costs at most the distinct transfers it reaches.
+Within one table, each address is swept once and each instruction is
+decoded once and stepped once, through memos its services share: a sweep
+reads the steps earlier sweeps took as slices of linear runs, and steps on
+only where no sweep has been. Chains and findings stay per service. Each
+transfer is examined once per service, on its shortest chain, so a
+service's walk costs at most the distinct transfers it reaches.
 
 The decoder is one opcode map (Intel SDM Vol. 2, Appendix A): after up to
 four legacy prefixes and a REX byte, the one-byte or ``0F`` opcode selects
@@ -30,6 +32,7 @@ A full-fidelity disassembler returning that tuple can be dropped in behind
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,6 +78,13 @@ class ControlTransfer(NamedTuple):
     indirect_slot: PhysAddr | None = None
 
 
+_JMP_RELATIVE = TransferKind.JMP_RELATIVE
+_JMP_INDIRECT = TransferKind.JMP_INDIRECT
+# Builds a ControlTransfer or PrologueScan without the NamedTuple's Python-level __new__.
+_new_tuple = tuple.__new__
+# Bytes a run reads past what a sweep needs, for the sweeps that extend it next.
+_READ_AHEAD = 64
+
 # Stop reasons for the linear sweep.
 STOP_WINDOW = "window_exhausted"
 STOP_RET = "ret"
@@ -103,6 +113,7 @@ class InlineHookFinding:
 
 _LEGACY_PREFIXES = frozenset({0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x67, 0xF0, 0xF2, 0xF3})
 _MAX_INSTRUCTION_LENGTH = 15  # architectural limit; longer encodings raise #GP
+_REL8 = tuple(b - 256 if b > 127 else b for b in range(256))  # signed value of a byte
 
 # Immediate widths set by prefixes. A 16/32-bit immediate ("Iz") is opaque
 # under 0x66, which would shrink it; mov reg, imm ("Iv") is imm32, or imm64
@@ -199,11 +210,12 @@ def decode_instruction(window: bytes, at: PhysAddr) -> tuple | None:
     i = 0
     while window[i] in _LEGACY_PREFIXES and i < 4:
         i += 1
-    prefixes = window[:i]
-    rex = 0
-    if 0x40 <= window[i] <= 0x4F:
-        rex = window[i]
+    n_prefixes = i
+    rex = window[i]
+    if 0x40 <= rex <= 0x4F:
         i += 1
+    else:
+        rex = 0
 
     op = window[i]
     if op == 0x0F:
@@ -224,7 +236,7 @@ def decode_instruction(window: bytes, at: PhysAddr) -> tuple | None:
             return None
         i += n
     if imm < 0:
-        if 0x66 in prefixes:
+        if 0x66 in window[:n_prefixes]:
             return None
         imm = 8 if imm == _IMM_V and rex & 0x08 else 4
     length = i + imm
@@ -233,12 +245,13 @@ def decode_instruction(window: bytes, at: PhysAddr) -> tuple | None:
 
     if type(kind) is str:
         return length, kind, None, None
-    target = slot = None
     if not has_modrm:
-        target = (at + length + int.from_bytes(window[i:length], "little", signed=True)) & _MASK64
-    elif mod == 0 and rm == 5 and (op, reg) not in _MEMORY_ONLY:
-        slot = (at + length + int.from_bytes(window[i - 4:i], "little", signed=True)) & _MASK64
-    return length, kind, target, slot
+        disp = _REL8[window[i]] if imm == 1 else int.from_bytes(window[i:length], "little", signed=True)
+        return length, kind, (at + length + disp) & _MASK64, None
+    if mod == 0 and rm == 5 and (op, reg) not in _MEMORY_ONLY:
+        disp = int.from_bytes(window[i - 4:i], "little", signed=True)
+        return length, kind, None, (at + length + disp) & _MASK64
+    return length, kind, None, None
 
 
 def _step(dump: MemoryDump, code: bytes, at: PhysAddr) -> tuple:
@@ -252,14 +265,67 @@ def _step(dump: MemoryDump, code: bytes, at: PhysAddr) -> tuple:
     if decoded is None or at + decoded[0] > dump.total_span:
         return 0, STOP_OPAQUE, None
     length, kind, target, slot = decoded
-    if kind == "skip":
-        return length, None, None
-    if kind == "ret":
-        return length, STOP_RET, None
+    if type(kind) is str:
+        return length, STOP_RET if kind == "ret" else None, None
     if slot is not None and dump.in_span(slot, 8):
         target = dump.read_u64(slot)
-    stop = STOP_JMP if kind in (TransferKind.JMP_RELATIVE, TransferKind.JMP_INDIRECT) else None
-    return length, stop, ControlTransfer(at, kind, length, target, slot)
+    stop = STOP_JMP if kind is _JMP_RELATIVE or kind is _JMP_INDIRECT else None
+    return length, stop, _new_tuple(ControlTransfer, (at, kind, length, target, slot))
+
+
+class _Run:
+    """The steps a sweep takes from one address, as far as sweeps have needed them.
+
+    ``addrs`` holds the step addresses, ascending, and ``transfer_at`` and
+    ``transfers`` the steps that are transfers; a stop can only be the last
+    step. ``end`` is the address after the last step. The run is closed by
+    a ``stop`` reason, or by a ``link`` to the run that holds the step at
+    ``end``; while it is open, ``code`` holds the dump's bytes from
+    ``code_at`` that the next steps are decoded from.
+    """
+
+    __slots__ = ("addrs", "transfer_at", "transfers", "end", "stop", "link", "code", "code_at")
+
+    def __init__(self, start: PhysAddr):
+        self.addrs: list[PhysAddr] = []
+        self.transfer_at: list[PhysAddr] = []
+        self.transfers: list[ControlTransfer] = []
+        self.end = self.code_at = start
+        self.stop: str | None = None
+        self.link: _Run | None = None
+        self.code = b""
+
+    def extend(self, dump: MemoryDump, runs: dict, steps: dict, limit: PhysAddr) -> None:
+        """Step on from ``end`` up to ``limit``, until a stop or a step another run holds."""
+        at = self.end
+        code, start = self.code, self.code_at
+        if start + len(code) < min(limit + DECODE_WINDOW, dump.total_span):
+            start = self.code_at = at
+            code = self.code = dump.read_bytes(
+                at, min(limit + DECODE_WINDOW + _READ_AHEAD, dump.total_span) - at
+            )
+        addrs, transfer_at, transfers = self.addrs, self.transfer_at, self.transfers
+        while at < limit:
+            link = runs.setdefault(at, self)
+            if link is not self:
+                self.link = link
+                break
+            step = steps.get(at)
+            if step is None:
+                offset = at - start
+                step = steps[at] = _step(dump, code[offset:offset + DECODE_WINDOW], at)
+            addrs.append(at)
+            length, stop, transfer = step
+            at += length
+            if transfer is not None:
+                transfer_at.append(transfer.at)
+                transfers.append(transfer)
+            if stop is not None:
+                self.stop = stop
+                break
+        self.end = at
+        if self.stop or self.link:
+            self.code = b""
 
 
 def scan_prologue(
@@ -267,6 +333,7 @@ def scan_prologue(
     function_addr: PhysAddr,
     window: int = DEFAULT_PROLOGUE_WINDOW,
     steps: dict[PhysAddr, tuple] | None = None,
+    runs: dict[PhysAddr, _Run] | None = None,
 ) -> PrologueScan:
     """Linear sweep from ``function_addr``, collecting control transfers.
 
@@ -278,33 +345,42 @@ def scan_prologue(
     pointer slot is mapped.
 
     ``steps`` memoizes decoded instructions by address across sweeps of
-    the same dump; the result is the same with or without it. A ``window``
-    that ``check_limit`` refuses raises ``ValueError``.
+    the same dump, and ``runs`` the sequences of steps taken from each
+    address, so that a sweep steps only the instructions no sweep has
+    reached and reads the rest as slices of runs. The result is the same
+    with or without them. A ``window`` that ``check_limit`` refuses raises
+    ``ValueError``.
     """
     check_limit("window", window, PROLOGUE_WINDOW_LIMIT)
     if not dump.in_span(function_addr):
         raise OutOfBoundsRead(f"function address {function_addr:#x} outside dump span")
     if steps is None:
         steps = {}
+    if runs is None:
+        runs = {}
 
-    avail = min(window + DECODE_WINDOW, dump.total_span - function_addr)
-    code = dump.read_bytes(function_addr, avail)
-    transfers: list[ControlTransfer] = []
+    # The sweep is the steps of the run holding ``function_addr`` from there,
+    # and of the runs it links to, up to ``end``: each run is stepped on only
+    # where no sweep has been, and read as a slice.
     at, end = function_addr, function_addr + window
-    stop = STOP_WINDOW
-    while at < end:
-        step = steps.get(at)
-        if step is None:
-            offset = at - function_addr
-            step = steps[at] = _step(dump, code[offset:offset + DECODE_WINDOW], at)
-        length, stop_reason, transfer = step
-        at += length
-        if transfer is not None:
-            transfers.append(transfer)
-        if stop_reason is not None:
-            stop = stop_reason
-            break
-    return PrologueScan(tuple(transfers), stop, at)
+    run = runs.get(at) or _Run(at)
+    transfers: tuple[ControlTransfer, ...] = ()
+    while True:
+        if run.end < end and run.stop is None and run.link is None:
+            run.extend(dump, runs, steps, end)
+        addrs, transfer_at = run.addrs, run.transfer_at
+        i = bisect_left(addrs, end, bisect_left(addrs, at))
+        lo = bisect_left(transfer_at, at)
+        transfers += tuple(run.transfers[lo:bisect_left(transfer_at, end, lo)])
+        # A step at or past ``end`` ends the sweep by its window, even where the
+        # run stops later on.
+        if i < len(addrs):
+            return _new_tuple(PrologueScan, (transfers, STOP_WINDOW, addrs[i]))
+        if run.stop is not None:
+            return _new_tuple(PrologueScan, (transfers, run.stop, run.end))
+        if run.end >= end:
+            return _new_tuple(PrologueScan, (transfers, STOP_WINDOW, run.end))
+        at, run = run.end, run.link
 
 
 def detect_inline_hooks(
@@ -334,6 +410,7 @@ def detect_inline_hooks(
     # Shared by every service of the table: a step, or a sweep at this window,
     # depends only on the dump and its address, never on the chain that reached it.
     steps: dict[PhysAddr, tuple] = {}
+    runs: dict[PhysAddr, _Run] = {}
     scans: dict[PhysAddr, PrologueScan] = {}
 
     for entry in table.entries:
@@ -350,16 +427,17 @@ def detect_inline_hooks(
         examined: set[PhysAddr] = set()
         frontier: list[tuple[PhysAddr, tuple[ControlTransfer, ...]]] = [(entry.pointer, ())]
         for addr, chain in frontier:
-            if not dump.in_span(addr):
-                continue
             scan = scans.get(addr)
             if scan is None:
-                scan = scans[addr] = scan_prologue(dump, addr, window, steps)
+                if not dump.in_span(addr):
+                    continue
+                scan = scans[addr] = scan_prologue(dump, addr, window, steps, runs)
             follow = len(chain) + 1 < max_depth
             for t in scan.transfers:
-                if t.at in examined:
+                at = t.at
+                if at in examined:
                     continue
-                examined.add(t.at)
+                examined.add(at)
                 target = t.target
                 if target is not None and owner_base <= target < owner_end:
                     if follow and target not in seen:

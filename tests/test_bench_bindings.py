@@ -62,10 +62,11 @@ def test_benchmark_truth_gate_passes(tmp_path, monkeypatch, workload):
     scratch = tmp_path / "scratch"
     scratch.mkdir()
     analyzer = worker.Analyzer(tmp_path / "corpus", scratch, True)
-    # spans.py's wrappers append to shared arrays without a lock, so a
-    # forced thread switch inside one, while a carve thread reads, can
-    # raise IndexError. With forced switches off, each wrapper's
-    # bookkeeping runs whole and this checks the names the gate reads.
+    # spans.py's wrappers append to shared arrays without a lock, and
+    # analyze_dump runs the traced content_sha256 on its hash worker
+    # thread, so a forced thread switch inside one wrapper can raise
+    # IndexError. With forced switches off, each wrapper's bookkeeping
+    # runs whole and this checks the names the gate reads.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(60)
     try:
