@@ -7,11 +7,12 @@ skip reserved ranges and either zero-fill them or describe the holes in a
 sidecar map).
 
 ``load_dump`` maps the file read-only rather than reading it. The bulk
-passes (signature scan, content hash, carve) walk file bytes one
+passes (signature scan, content hash, carve, save) walk file bytes one
 ``WINDOW`` at a time and, on a mapping, drop each window's pages once they
 leave it, so resident memory is bounded by the windows in flight, not by
-the file. The file must not shrink while a dump maps it: touching a page
-past its new end raises ``SIGBUS``, which kills the process.
+the file; the hash reads the regions lying back to back in the file as one
+run. The file must not shrink while a dump maps it: touching a page past
+its new end raises ``SIGBUS``, which kills the process.
 """
 
 from __future__ import annotations
@@ -144,9 +145,8 @@ class MemoryDump:
         for target in (dump_path, map_path):
             self.refuse_input(target)
         with open(dump_path, "wb") as fh:  # one window at a time, like the bulk passes
-            for off in range(0, len(self._data), WINDOW):
-                fh.write(self._view[off:off + WINDOW])
-                self._drop(off, WINDOW)  # madvise stops at the end of the mapping
+            for window in self._windows(0, len(self._data)):
+                fh.write(window)
         write_json(map_path, [
             {
                 "phys_start": f"0x{r.phys_start:x}",
@@ -193,6 +193,18 @@ class MemoryDump:
         self._check_read(addr, length)
         return self._walk(addr, addr + length, drop=True)
 
+    def iter_contents(self):
+        """Yield the mapped bytes in physical order, gaps left out, as file-buffer views.
+        Regions lying back to back in the file are one run, read ``WINDOW`` at a time,
+        so only a run's last view is short; each is dropped when the next is asked for."""
+        off = end = self._regions[0].file_offset
+        for region in self._regions:
+            if region.file_offset != end:
+                yield from self._windows(off, end)
+                off = region.file_offset
+            end = region.file_offset + region.length
+        yield from self._windows(off, end)
+
     def _check_read(self, addr: PhysAddr, length: int) -> None:
         if length <= 0:
             raise ValueError("read length must be positive")
@@ -210,14 +222,18 @@ class MemoryDump:
                 run = _ZEROS[:gap_end - pos]
                 yield run
                 pos += len(run)
-            hi = min(end, region.phys_end)
-            while pos < hi:
-                off = region.file_offset + pos - region.phys_start
-                n = min(hi - pos, WINDOW)
-                yield self._view[off:off + n]
-                if drop:
-                    self._drop(off, n)
-                pos += n
+            hi = min(end, region.phys_end)  # below ``pos`` when ``pos`` lies past the region
+            shift = region.file_offset - region.phys_start
+            yield from self._windows(pos + shift, hi + shift, drop)
+            pos = max(pos, hi)
+
+    def _windows(self, off: int, end: int, drop: bool = True):
+        """File bytes ``[off, end)`` as ``WINDOW`` views; with ``drop``, each dropped once passed."""
+        for lo in range(off, end, WINDOW):
+            hi = min(lo + WINDOW, end)
+            yield self._view[lo:hi]
+            if drop:
+                self._drop(lo, hi - lo)
 
     def _drop(self, off: int, length: int) -> None:
         """Release the pages of file bytes ``[off, off + length)`` of a mapping.

@@ -6,7 +6,7 @@ service function's prologue, classifies control transfers, and follows
 benign-looking in-image transfers breadth-first through a bounded number of
 nesting levels (attackers chain in-image jumps to defeat single-hop checks).
 Within one table, each address is swept once and each instruction is
-decoded once and stepped once, through memos its services share: a sweep
+decoded once and stepped once, through the runs its services share: a sweep
 reads the steps earlier sweeps took as slices of linear runs, and steps on
 only where no sweep has been. Chains and findings stay per service. Each
 transfer is examined once per service, on its shortest chain, so a
@@ -295,7 +295,7 @@ class _Run:
         self.link: _Run | None = None
         self.code = b""
 
-    def extend(self, dump: MemoryDump, runs: dict, steps: dict, limit: PhysAddr) -> None:
+    def extend(self, dump: MemoryDump, runs: dict, limit: PhysAddr) -> None:
         """Step on from ``end`` up to ``limit``, until a stop or a step another run holds."""
         at = self.end
         code, start = self.code, self.code_at
@@ -310,12 +310,9 @@ class _Run:
             if link is not self:
                 self.link = link
                 break
-            step = steps.get(at)
-            if step is None:
-                offset = at - start
-                step = steps[at] = _step(dump, code[offset:offset + DECODE_WINDOW], at)
             addrs.append(at)
-            length, stop, transfer = step
+            offset = at - start
+            length, stop, transfer = _step(dump, code[offset:offset + DECODE_WINDOW], at)
             at += length
             if transfer is not None:
                 transfer_at.append(transfer.at)
@@ -332,7 +329,6 @@ def scan_prologue(
     dump: MemoryDump,
     function_addr: PhysAddr,
     window: int = DEFAULT_PROLOGUE_WINDOW,
-    steps: dict[PhysAddr, tuple] | None = None,
     runs: dict[PhysAddr, _Run] | None = None,
 ) -> PrologueScan:
     """Linear sweep from ``function_addr``, collecting control transfers.
@@ -344,18 +340,15 @@ def scan_prologue(
     RIP-relative indirect targets are resolved through the dump when the
     pointer slot is mapped.
 
-    ``steps`` memoizes decoded instructions by address across sweeps of
-    the same dump, and ``runs`` the sequences of steps taken from each
-    address, so that a sweep steps only the instructions no sweep has
-    reached and reads the rest as slices of runs. The result is the same
-    with or without them. A ``window`` that ``check_limit`` refuses raises
-    ``ValueError``.
+    ``runs`` memoizes the sequences of steps taken from each address across
+    sweeps of the same dump, so that a sweep steps only the instructions no
+    sweep has reached and reads the rest as slices of runs. The result is
+    the same with or without it. A ``window`` that ``check_limit`` refuses
+    raises ``ValueError``.
     """
     check_limit("window", window, PROLOGUE_WINDOW_LIMIT)
     if not dump.in_span(function_addr):
         raise OutOfBoundsRead(f"function address {function_addr:#x} outside dump span")
-    if steps is None:
-        steps = {}
     if runs is None:
         runs = {}
 
@@ -367,7 +360,7 @@ def scan_prologue(
     transfers: tuple[ControlTransfer, ...] = ()
     while True:
         if run.end < end and run.stop is None and run.link is None:
-            run.extend(dump, runs, steps, end)
+            run.extend(dump, runs, end)
         addrs, transfer_at = run.addrs, run.transfer_at
         i = bisect_left(addrs, end, bisect_left(addrs, at))
         lo = bisect_left(transfer_at, at)
@@ -407,9 +400,8 @@ def detect_inline_hooks(
     check_limit("max_depth", max_depth, MAX_DEPTH_LIMIT)
     check_limit("window", window, PROLOGUE_WINDOW_LIMIT)
     findings: list[InlineHookFinding] = []
-    # Shared by every service of the table: a step, or a sweep at this window,
+    # Shared by every service of the table: a run, or a sweep at this window,
     # depends only on the dump and its address, never on the chain that reached it.
-    steps: dict[PhysAddr, tuple] = {}
     runs: dict[PhysAddr, _Run] = {}
     scans: dict[PhysAddr, PrologueScan] = {}
 
@@ -431,7 +423,7 @@ def detect_inline_hooks(
             if scan is None:
                 if not dump.in_span(addr):
                     continue
-                scan = scans[addr] = scan_prologue(dump, addr, window, steps, runs)
+                scan = scans[addr] = scan_prologue(dump, addr, window, runs)
             follow = len(chain) + 1 < max_depth
             for t in scan.transfers:
                 at = t.at

@@ -112,11 +112,12 @@ def _hx(value: int | None) -> str | None:
 
 
 def content_sha256(dump: MemoryDump) -> str:
-    """Digest of the mapped region contents in physical order."""
+    """Digest of the mapped region contents in physical order, hashed as ``iter_contents``
+    yields them: whole windows of file runs, so that each GIL release by the hash worker
+    of ``analyze_dump`` covers a full ``WINDOW``, not the few KiB of a short region."""
     h = hashlib.sha256()
-    for region in dump.regions:
-        for chunk in dump.iter_range(region.phys_start, region.length):
-            h.update(chunk)
+    for chunk in dump.iter_contents():
+        h.update(chunk)
     return h.hexdigest()
 
 

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,6 +345,82 @@ def test_content_hash_does_not_copy_regions():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert digest == hashlib.sha256(low + high).hexdigest()
+
+
+class RecordingSha256:
+    """A SHA-256 that records the length of each ``update``."""
+
+    def __init__(self):
+        self._h = hashlib.sha256()
+        self.lengths = []
+
+    def update(self, chunk):
+        self.lengths.append(len(chunk))
+        self._h.update(chunk)
+
+    def hexdigest(self):
+        return self._h.hexdigest()
+
+
+def hash_loaded(tmp_path, monkeypatch, size, regions):
+    """Write ``size`` random file bytes and a sidecar of ``regions`` (phys_start,
+    file_offset, length), listed as given; load the dump and hash it. Returns the
+    digest, the ``update`` lengths, the ``_drop`` (offset, length) calls and the
+    digest of the regions' bytes joined in physical order."""
+    data = Random(size).randbytes(size)
+    records = [{"phys_start": a, "file_offset": o, "length": n} for a, o, n in regions]
+    dump = load_dump(*write_dump(tmp_path, data, records))
+    hashes, drops = [], []
+    drop = MemoryDump._drop
+
+    def sha256():
+        hashes.append(RecordingSha256())
+        return hashes[-1]
+
+    def recording_drop(self, off, length):
+        drops.append((off, length))
+        drop(self, off, length)
+
+    monkeypatch.setattr("uefiforensics.report.hashlib", SimpleNamespace(sha256=sha256))
+    monkeypatch.setattr(MemoryDump, "_drop", recording_drop)
+    digest = content_sha256(dump)
+    monkeypatch.undo()
+    joined = b"".join(data[o:o + n] for _, o, n in sorted(regions))
+    return digest, hashes[0].lengths, drops, hashlib.sha256(joined).hexdigest()
+
+
+def windows_of(runs) -> list[tuple[int, int]]:
+    """(offset, length) of the windows a hash reads the file runs ``[off, end)`` in."""
+    return [(lo, min(WINDOW, end - lo)) for off, end in runs for lo in range(off, end, WINDOW)]
+
+
+@pytest.mark.parametrize("size, regions, runs", [
+    # The builtin layout: a short low region, then a long one right after it in
+    # the file. One run: every update but the last hashes a whole window.
+    (0x2000 + 3 * WINDOW + 0x800,
+     [(0, 0, 0x2000), (0x100000, 0x2000, 3 * WINDOW + 0x800)],
+     [(0, 0x2800 + 3 * WINDOW)]),
+    # Listed in reverse; in physical order the first two lie back to back in the
+    # file, after the third region's bytes, so the hash reads two runs.
+    (0x3000 + WINDOW + 0x1800 + 0x2000,
+     [(0x800000, 0, 0x3000), (0x10000, 0x5000, WINDOW + 0x1800), (0, 0x3000, 0x2000)],
+     [(0x3000, 0x6800 + WINDOW), (0, 0x3000)]),
+    # File bytes no region maps lie between the two regions: two runs, the
+    # unmapped bytes hashed in neither.
+    (0x2000 + 0x1000 + WINDOW + 0x10,
+     [(0, 0, 0x2000), (0x100000, 0x3000, WINDOW + 0x10)],
+     [(0, 0x2000), (0x3000, 0x3010 + WINDOW)]),
+    # A region off page alignment, with another right after it in the file.
+    (0x801 + WINDOW + 0x100 + 0x1000,
+     [(0x10000, 0x801, WINDOW + 0x100), (0x800000, 0x901 + WINDOW, 0x1000)],
+     [(0x801, 0x1901 + WINDOW)]),
+], ids=["file-adjacent", "listed-out-of-file-order", "unmapped-bytes-between", "off-page-alignment"])
+def test_content_hash_reads_file_runs_in_whole_windows(tmp_path, monkeypatch, size, regions,
+                                                       runs):
+    digest, lengths, drops, want = hash_loaded(tmp_path, monkeypatch, size, regions)
+    assert digest == want
+    assert drops == windows_of(runs)
+    assert lengths == [n for _, n in windows_of(runs)]
 
 
 def test_iter_range_joins_to_read_bytes():

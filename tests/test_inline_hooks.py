@@ -286,15 +286,35 @@ def test_scan_unmapped_slot_stays_unresolved():
     assert t.target is None and t.indirect_slot == 0x1000 + 6 + 0x7000
 
 
+def record_steps(monkeypatch) -> list[tuple[int, tuple]]:
+    """(address, step) of each call to _step, in call order."""
+    stepped = []
+    step = inline_hooks._step
+
+    def recording(dump, code, at):
+        stepped.append((at, step(dump, code, at)))
+        return stepped[-1][1]
+
+    monkeypatch.setattr(inline_hooks, "_step", recording)
+    return stepped
+
+
 def assert_memo_equivalent(dump, sweeps):
-    """Each (addr, window) swept through one shared step memo, and through one shared
-    step and run memo, equals a fresh sweep. Returns the step memo of the runs."""
-    alone, steps, runs = {}, {}, {}
-    for addr, window in sweeps:
-        fresh = scan_prologue(dump, addr, window)
-        assert scan_prologue(dump, addr, window, alone) == fresh
-        assert scan_prologue(dump, addr, window, steps, runs) == fresh
-    assert alone == steps
+    """Each (addr, window) swept through one shared run memo equals a fresh sweep, and
+    the shared sweeps step each instruction the fresh ones step, once. Returns the
+    shared sweeps' steps by address."""
+    fresh_at, shared, runs = set(), [], {}
+    with pytest.MonkeyPatch.context() as mp:
+        stepped = record_steps(mp)
+        for addr, window in sweeps:
+            fresh = scan_prologue(dump, addr, window)
+            fresh_at.update(at for at, _ in stepped)
+            stepped.clear()
+            assert scan_prologue(dump, addr, window, runs) == fresh
+            shared += stepped
+            stepped.clear()
+    steps = dict(shared)
+    assert len(steps) == len(shared) and steps.keys() == fresh_at
     return steps
 
 
@@ -335,38 +355,37 @@ def test_step_memo_keeps_call_cut_by_dump_end_opaque():
     dump = make_code_dump(b"\x90" * 12 + b"\xE8", at=0xF0, span=0x100)
     steps = assert_memo_equivalent(dump, [(0xF0, 32), (0xFC, 32), (0xFB, 1)])
     assert steps[0xFC] == (0, STOP_OPAQUE, None)
-    assert scan_prologue(dump, 0xFC, 32, steps).end_addr == 0xFC
+    assert scan_prologue(dump, 0xFC, 32).end_addr == 0xFC
 
 
 def test_run_memo_reads_a_stop_past_the_window_end_as_window_exhausted():
     # The first sweep steps the run on to the opaque ud2 at +20. The sweeps that end
     # before it read window_exhausted from the run; the last reaches it.
     dump = make_code_dump(b"\x90" * 20 + b"\x0F\x0B")
-    steps, runs = {}, {}
-    assert scan_prologue(dump, 0x1000, 32, steps, runs) == ((), STOP_OPAQUE, 0x1014)
+    runs = {}
+    assert scan_prologue(dump, 0x1000, 32, runs) == ((), STOP_OPAQUE, 0x1014)
     for addr, window in ((0x1000, 7), (0x1003, 17), (0x1010, 4), (0x1013, 1)):
-        assert scan_prologue(dump, addr, window, steps, runs) == (
-            (), STOP_WINDOW, addr + window)
-    assert scan_prologue(dump, 0x1010, 5, steps, runs) == ((), STOP_OPAQUE, 0x1014)
+        assert scan_prologue(dump, addr, window, runs) == ((), STOP_WINDOW, addr + window)
+    assert scan_prologue(dump, 0x1010, 5, runs) == ((), STOP_OPAQUE, 0x1014)
     assert_memo_equivalent(dump, [(0x1000, 32), (0x1000, 7), (0x1013, 1), (0x1014, 1),
                                   (0x1008, 12), (0x1008, 13), (0x1002, 256)])
 
 
-def test_run_memo_joins_the_run_a_sweep_reaches():
+def test_run_memo_joins_the_run_a_sweep_reaches(monkeypatch):
     # Swept from +6 first, then from the start: the second run joins the first at +6
     # and steps nothing it holds; a sweep across both reads the steps of each.
     code = b"\x90" * 6 + b"\x74\x00" * 4 + b"\xC3"
     dump = make_code_dump(code)
-    steps, runs = {}, {}
-    late = scan_prologue(dump, 0x1006, 32, steps, runs)
+    stepped, runs = record_steps(monkeypatch), {}
+    late = scan_prologue(dump, 0x1006, 32, runs)
     assert [t.at for t in late.transfers] == [0x1006, 0x1008, 0x100A, 0x100C]
     assert late[1:] == (STOP_RET, 0x100F)
-    stepped = len(steps)
-    assert scan_prologue(dump, 0x1000, 32, steps, runs) == late
-    assert len(steps) == stepped + 6
+    stepped.clear()
+    assert scan_prologue(dump, 0x1000, 32, runs) == late
+    assert [at for at, _ in stepped] == list(range(0x1000, 0x1006))
     assert runs[0x1000].link is runs[0x1006]
-    assert scan_prologue(dump, 0x1004, 6, steps, runs) == (
-        late.transfers[:2], STOP_WINDOW, 0x100A)
+    assert scan_prologue(dump, 0x1004, 6, runs) == (late.transfers[:2], STOP_WINDOW, 0x100A)
+    assert len(stepped) == 6
 
 
 def test_relative_target_law_against_dump_bytes(forged):
@@ -652,26 +671,6 @@ def test_ladder_decodes_each_address_once(forged, monkeypatch, max_depth):
     assert len(decoded) == len(set(decoded))
 
 
-class RecordingSteps(dict):
-    """A step memo that records the address of each read."""
-
-    def __init__(self):
-        super().__init__()
-        self.reads = []
-
-    def get(self, at, default=None):
-        self.reads.append(at)
-        return super().get(at, default)
-
-    def __getitem__(self, at):
-        self.reads.append(at)
-        return super().__getitem__(at)
-
-    def __contains__(self, at):
-        self.reads.append(at)
-        return super().__contains__(at)
-
-
 @pytest.mark.parametrize("max_depth", [3, 6])
 def test_ladder_steps_each_address_once(forged, monkeypatch, max_depth):
     # The 17 ladder sweeps overlap. Each instruction is stepped by the first sweep
@@ -680,20 +679,13 @@ def test_ladder_steps_each_address_once(forged, monkeypatch, max_depth):
     function_addr = scenario.truth.tables["boot"].true_pointers["RaiseTPL"]
     dump = patch_dump(scenario.dump, {function_addr: LADDER})
     table, image_map = raise_tpl_only(dump)
-    steps = RecordingSteps()
-    swept = []
-    scan = inline_hooks.scan_prologue
-
-    def recording(dump, addr, window, _, *memos):
-        swept.append(addr)
-        return scan(dump, addr, window, steps, *memos)
-
-    monkeypatch.setattr(inline_hooks, "scan_prologue", recording)
+    swept, stepped = record_sweeps(monkeypatch), record_steps(monkeypatch)
     baseline = infer_baseline(table, image_map)
     assert detect_inline_hooks(dump, table, image_map, baseline, max_depth=max_depth) == []
     assert len(swept) == 17
-    assert function_addr + len(LADDER) - 2 in steps.reads
-    assert len(steps.reads) == len(set(steps.reads)) == len(steps)
+    stepped_at = [at for at, _ in stepped]
+    assert function_addr + len(LADDER) - 2 in stepped_at
+    assert len(stepped_at) == len(set(stepped_at))
 
 
 def test_services_share_the_sweep_of_a_common_site(monkeypatch):
